@@ -518,7 +518,8 @@ func BenchmarkTrainStepFull(b *testing.B) {
 }
 
 // BenchmarkTrainStepMBS times one MBS-serialized training step (sub-batch
-// 8, gradient accumulation across sub-batches).
+// 8, gradient accumulation across sub-batches) with no plan installed, so
+// the whole model runs as one group.
 func BenchmarkTrainStepMBS(b *testing.B) {
 	benchEngines(b, func(b *testing.B) {
 		m, x, labels, opt := trainStepModel()
@@ -531,18 +532,14 @@ func BenchmarkTrainStepMBS(b *testing.B) {
 	})
 }
 
-// BenchmarkTrainStepMBSGrouped times the grouped cache-resident MBS
-// executor (nn.PlanMBS + SetMBSPlan) across a sub-batch × cache-budget
-// grid. GEMM engine only — the executor requires reusable buffers.
+// BenchmarkTrainStepMBSGrouped times installed MBS plans (nn.PlanMBS +
+// SetMBSPlan) across a sub-batch × cache-budget grid on the GEMM engine.
 // budget=auto plans under the detected cache size (usually one group on a
 // large-L3 host); the byte budgets force multi-group schedules that stash
 // boundary activations and re-forward groups on the backward pass, which
-// is the paper's cache-residency trade. The pipeline cell overlaps the
-// next sub-batch's im2col packing with the current one's compute (only
-// wins on multicore hosts). Gradients are bit-identical to
+// is the paper's cache-residency trade. Gradients are bit-identical to
 // BenchmarkTrainStepMBS/gemm on the same shapes — compare ns/op, B/op and
-// allocs/op directly; the grouped path also drops the per-sub-batch
-// SliceBatch input copies.
+// allocs/op directly.
 func BenchmarkTrainStepMBSGrouped(b *testing.B) {
 	prev := tensor.SetEngine(tensor.EngineGEMM)
 	defer tensor.SetEngine(prev)
@@ -550,16 +547,15 @@ func BenchmarkTrainStepMBSGrouped(b *testing.B) {
 		name  string
 		bytes int64
 	}{{"auto", 0}, {"4MiB", 4 << 20}, {"2MiB", 2 << 20}}
-	run := func(b *testing.B, sub int, budget int64, pipeline bool) {
+	run := func(b *testing.B, sub int, budget int64) {
 		m, x, labels, opt := trainStepModel()
-		plan, err := m.PlanMBS(x.Shape, nn.MBSPlanConfig{SubBatch: sub, BudgetBytes: budget, Pipeline: pipeline})
+		plan, err := m.PlanMBS(x.Shape, nn.MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := m.SetMBSPlan(plan); err != nil {
 			b.Fatal(err)
 		}
-		defer m.ClearMBSPlan()
 		m.TrainStepMBS(x, labels, sub, opt) // warm arenas and boundary stash
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -572,13 +568,10 @@ func BenchmarkTrainStepMBSGrouped(b *testing.B) {
 	for _, sub := range []int{8, 4} {
 		for _, bd := range budgets {
 			b.Run(fmt.Sprintf("sub=%d/budget=%s", sub, bd.name), func(b *testing.B) {
-				run(b, sub, bd.bytes, false)
+				run(b, sub, bd.bytes)
 			})
 		}
 	}
-	b.Run("sub=8/budget=auto/pipeline", func(b *testing.B) {
-		run(b, 8, 0, true)
-	})
 }
 
 // --- Inference fast path (internal/infer + nn.Predictor) ---------------------

@@ -10,8 +10,14 @@
 //	mbstrain -epochs 5 -samples 256 -subbatch 4
 //	mbstrain -engine naive   # direct reference kernels (slow oracle)
 //	mbstrain -threads 4      # cap kernel parallelism (0 = GOMAXPROCS)
-//	mbstrain -mbs-exec -mbs-cache-budget 2MiB   # grouped cache-resident executor
-//	mbstrain -mbs-exec -mbs-pipeline            # overlap im2col with compute
+//	mbstrain -mbs-cache-budget 2MiB  # group layers to fit a 2 MiB cache
+//	mbstrain -mbs-cache-budget auto  # group layers to fit the detected cache
+//
+// MBS steps run on the planned executor (nn.PlanMBS): sub-batches are
+// serialized through groups of layers whose working set fits the cache
+// budget, and the plan is printed before training. Without
+// -mbs-cache-budget the whole model is one group. Every grouping computes
+// the same bits.
 //
 // Reproducibility: training is deterministic given -seed. The gemm engine
 // partitions only independent work across goroutines and reduces weight
@@ -49,12 +55,8 @@ func main() {
 		"GEMM blocking KCxNC or KCxNC:MRxNR (empty = startup autotune; KC changes are bit-visible)")
 	fp16 := flag.Bool("fp16", false,
 		"train with half-precision linear weights (fp32 masters/gradients; GEMM engine only)")
-	mbsExec := flag.Bool("mbs-exec", false,
-		"run MBS on the grouped cache-resident executor (planned arenas; GEMM engine only)")
 	mbsBudget := flag.String("mbs-cache-budget", "",
-		"cache budget for -mbs-exec layer grouping, e.g. 2MiB or 512K (empty = autodetect)")
-	mbsPipeline := flag.Bool("mbs-pipeline", false,
-		"with -mbs-exec, overlap next sub-batch im2col packing with current compute")
+		"group MBS layers to fit this cache budget, e.g. 2MiB or 512K; auto = detected cache size (empty = one group)")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
 
@@ -114,21 +116,20 @@ func main() {
 			cfg.FP16 = true
 			fmt.Println("fp16: half-precision linear weights (fp32 masters)")
 		}
-		if *mbsExec {
-			if eng != tensor.EngineGEMM {
-				fmt.Fprintln(os.Stderr, "mbstrain: -mbs-exec requires -engine gemm")
+		switch *mbsBudget {
+		case "":
+		case "auto":
+			cfg.MBSBudget = -1
+		default:
+			b, err := nn.ParseByteSize(*mbsBudget)
+			if err == nil && b == 0 {
+				err = fmt.Errorf("-mbs-cache-budget must be above zero")
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "mbstrain:", err)
 				os.Exit(2)
 			}
-			cfg.MBSExec = true
-			cfg.MBSPipeline = *mbsPipeline
-			if *mbsBudget != "" {
-				b, err := nn.ParseByteSize(*mbsBudget)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "mbstrain:", err)
-					os.Exit(2)
-				}
-				cfg.MBSBudget = b
-			}
+			cfg.MBSBudget = b
 		}
 		if _, err := experiments.Fig6(ctx, os.Stdout, cfg); err != nil {
 			if ctx.Err() != nil {

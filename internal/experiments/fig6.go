@@ -25,14 +25,10 @@ type Fig6Config struct {
 	// FP16 trains with half-precision linear weights (fp32 masters; see
 	// nn.Model.SetFP16Weights). Requires the GEMM engine.
 	FP16 bool
-	// MBSExec runs the GN+MBS training on the grouped cache-resident
-	// executor (nn.PlanMBS/SetMBSPlan) instead of the layer-by-layer path.
-	MBSExec bool
-	// MBSBudget is the executor's cache budget in bytes (0 = autodetect
-	// from the CPU cache topology).
+	// MBSBudget is the cache budget the GN+MBS run groups its layers under
+	// (nn.PlanMBS/SetMBSPlan): 0 runs the whole model as one group, < 0
+	// autodetects the budget from the CPU cache topology.
 	MBSBudget int64
-	// MBSPipeline enables the executor's double-buffered im2col prepacking.
-	MBSPipeline bool
 }
 
 // DefaultFig6Config returns a laptop-scale configuration that exhibits the
@@ -94,10 +90,10 @@ func Fig6(ctx context.Context, w io.Writer, cfg Fig6Config) (*Fig6Result, error)
 		if cfg.FP16 {
 			m.SetFP16Weights(true)
 		}
-		if run.mbs && cfg.MBSExec {
+		if run.mbs && cfg.MBSBudget != 0 {
 			plan, err := m.PlanMBS(
 				[]int{cfg.Batch, cfg.Data.Channels, cfg.Data.Size, cfg.Data.Size},
-				nn.MBSPlanConfig{SubBatch: cfg.SubBatch, BudgetBytes: cfg.MBSBudget, Pipeline: cfg.MBSPipeline})
+				nn.MBSPlanConfig{SubBatch: cfg.SubBatch, BudgetBytes: cfg.MBSBudget})
 			if err != nil {
 				return res, err
 			}
@@ -108,7 +104,6 @@ func Fig6(ctx context.Context, w io.Writer, cfg Fig6Config) (*Fig6Result, error)
 				fmt.Fprintln(w, plan.Summary())
 				plan.WriteTable(w)
 			}
-			defer m.ClearMBSPlan()
 		}
 		opt := &nn.SGD{LR: cfg.LR, Momentum: 0.9, WeightDecay: 1e-4}
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {

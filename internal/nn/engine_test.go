@@ -7,13 +7,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// buildTestModel returns a small GN model plus a deterministic batch.
+// buildTestModel returns a small GN model plus a deterministic batch of 8.
 func buildTestModel(seed int64) (*Model, *tensor.Tensor, []int) {
+	return buildTestModelBatch(seed, 8)
+}
+
+// buildTestModelBatch is buildTestModel with a batch of n samples.
+func buildTestModelBatch(seed int64, n int) (*Model, *tensor.Tensor, []int) {
 	m := BuildSmallCNN(rand.New(rand.NewSource(seed)), 3, 16, 8, NormGroup, 8)
 	rng := rand.New(rand.NewSource(seed + 1))
-	x := tensor.New(8, 3, 16, 16)
+	x := tensor.New(n, 3, 16, 16)
 	x.Randn(rng, 1)
-	labels := make([]int, 8)
+	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = rng.Intn(8)
 	}

@@ -124,10 +124,6 @@ type Conv2D struct {
 	// per sample) so Backward reuses it instead of re-lowering x: the input
 	// is packed once per step, not once per pass.
 	col []float64
-	// prepacked marks col as already holding x's im2col panels (the MBS
-	// executor's double-buffered pipeline packs them on a second goroutine):
-	// the training forward consumes them instead of lowering x again.
-	prepacked bool
 }
 
 // NewConv2D builds a convolution with He-normal initialization.
@@ -156,10 +152,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		out := ensure4(c.out.sel(train), x.Shape[0], c.Spec.OutC, oh, ow)
 		if !train {
 			tensor.Conv2DFusedInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false)
-			return out
-		}
-		if c.prepacked {
-			tensor.Conv2DFromColInto(out, c.col, c.Weight.Data, c.Bias.Data, c.Spec, false)
 			return out
 		}
 		if n := x.Shape[0] * c.Spec.InC * c.Spec.KH * c.Spec.KW * oh * ow; len(c.col) != n {

@@ -2,14 +2,18 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
 
-// Grouped MBS executor: runs TrainStepMBS/AccumulateGradsMBS sub-batch-
-// serially *through each planned layer group* instead of through the whole
-// net, so a group's weights, im2col panels and activations stay cache-hot
-// across all sub-batches (the paper's Sections 3-4 executed for real).
+// Grouped MBS executor: the one path TrainStepMBS/AccumulateGradsMBS run.
+// It serializes sub-batches *through each planned layer group* instead of
+// through the whole net, so a group's weights, im2col panels and
+// activations stay cache-hot across all sub-batches (the paper's Sections
+// 3-4 executed for real). A single group covering the whole model is the
+// plain MBS flow: every sub-batch runs forward, loss and backward through
+// all layers before the next one starts.
 //
 // Schedule (group-level checkpointing):
 //
@@ -23,31 +27,19 @@ import (
 //	                 activations bit-exactly), then backward with the
 //	                 boundary gradient stashed by group g+1.
 //
-// Bit-identity to the layer-by-layer path: every parameter's gradient
-// receives its per-span addend in the same ascending span order, each addend
-// computed from bit-identical inputs (deterministic kernels + per-sample
-// GroupNorm statistics), so the accumulated sums match to the last bit.
-// BatchNorm models still run (they are the negative control) but their
-// running statistics see each non-last group's forward twice per step.
+// Bit-identity to a layer-by-layer sub-batch loop (kept as the tests'
+// reference): every parameter's gradient receives its per-span addend in the
+// same ascending span order, each addend computed from bit-identical inputs
+// (deterministic kernels + per-sample GroupNorm statistics), so the
+// accumulated sums match to the last bit, for any group count and on both
+// engines (the naive engine's layers ignore the installed arena views).
 //
 // All intra-group buffers live at planned offsets of one shared float slab
 // sized for the largest group; per-unit input gradients collapse into two
 // ping-pong slots at the slab tail (unit-parity alternation). Install is a
 // per-span loop of pointer assignments — zero steady-state allocations.
-//
-// Double-buffered pipelining (plan.Pipeline): when a group opens with a
-// plain convolution, a persistent packer goroutine lowers sub-batch b+1's
-// input into a spare im2col slab while sub-batch b computes; the conv's
-// forward then consumes the prepacked panels via tensor.Conv2DFromColInto
-// (bit-identical to the fused single-pass call).
 
 type mbsSpan struct{ from, to, size int }
-
-type packReq struct {
-	col  []float64
-	x    *tensor.Tensor
-	spec tensor.ConvSpec
-}
 
 // mbsBundle is the install list of one (group, sub-batch size): closures
 // that point every layer-owned buffer at its planned arena view.
@@ -63,10 +55,6 @@ type execGroup struct {
 	first, last int
 	sub, rem    *mbsBundle
 	outElems    int // per-sample elems of the group's output
-	// pipeline state; nil conv = no pipelining for this group
-	conv           *Conv2D
-	colSub, colRem int
-	slabs          [2][]float64
 }
 
 type mbsExec struct {
@@ -87,10 +75,6 @@ type mbsExec struct {
 	xViews     []*tensor.Tensor   // [span]: group-0 views (Data set per call)
 
 	lossGradSub, lossGradRem *tensor.Tensor
-
-	pipe     bool
-	packCh   chan packReq
-	packDone chan struct{}
 
 	// per-call state the phase closures read (single-goroutine use)
 	curGroup                      int
@@ -220,18 +204,6 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		if rem != 0 {
 			eg.rem = buildBundle(unitsRem, g.First, g.Last, e.arena)
 		}
-		if p.Pipeline {
-			if c := unitsSub[g.First].conv; c != nil {
-				eg.conv = c
-				eg.colSub = unitsSub[g.First].colElems
-				if rem != 0 {
-					eg.colRem = unitsRem[g.First].colElems
-				}
-				eg.slabs[0] = make([]float64, eg.colSub)
-				eg.slabs[1] = make([]float64, eg.colSub)
-				e.pipe = true
-			}
-		}
 		if gi < G-1 {
 			bt := tensor.New(append([]int{n}, outSample...)...)
 			e.boundary[gi] = bt
@@ -300,24 +272,34 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 			copy(e.dGradRows(g-1, sp), dx.Data)
 		}
 	}
-
-	if e.pipe {
-		e.packCh = make(chan packReq, 1)
-		e.packDone = make(chan struct{}, 1)
-		go func() {
-			for r := range e.packCh {
-				tensor.Im2ColPack(r.col, r.x, r.spec)
-				e.packDone <- struct{}{}
-			}
-		}()
-	}
 	return e, nil
 }
 
-// matches reports whether this executor covers the given call exactly; any
-// mismatch falls back to the legacy layer-by-layer path.
-func (e *mbsExec) matches(x *tensor.Tensor, subBatch int) bool {
-	return e != nil && reuseBuffers() && subBatch == e.plan.SubBatch && shapeEq(x.Shape, e.fullShape)
+// covers reports whether the executor was built for this input shape and
+// sub-batch.
+func (e *mbsExec) covers(x *tensor.Tensor, subBatch int) bool {
+	return e != nil && subBatch == e.plan.SubBatch && shapeEq(x.Shape, e.fullShape)
+}
+
+// execFor picks the executor for one MBS call: the installed plan when it
+// covers the call, otherwise the single-group executor, planned with an
+// unbounded budget and rebuilt only when the input shape or sub-batch
+// changes. A model the planner cannot walk is a programming error, as a
+// shape mismatch inside a layer is.
+func (m *Model) execFor(x *tensor.Tensor, subBatch int) *mbsExec {
+	if m.mbs.covers(x, subBatch) {
+		return m.mbs
+	}
+	if !m.single.covers(x, subBatch) {
+		p, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: subBatch, BudgetBytes: math.MaxInt64})
+		if err == nil {
+			m.single, err = newMBSExec(m, p)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return m.single
 }
 
 func (e *mbsExec) inputView(g, si int) *tensor.Tensor {
@@ -357,55 +339,18 @@ func (e *mbsExec) backwardGroup(g int, dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
-func (e *mbsExec) installFor(eg *execGroup, size int) {
-	if size == e.plan.SubBatch {
-		eg.sub.install()
-	} else {
-		eg.rem.install()
-	}
-}
-
-func (e *mbsExec) colLen(eg *execGroup, size int) int {
-	if size == e.plan.SubBatch {
-		return eg.colSub
-	}
-	return eg.colRem
-}
-
 // phaseSpans runs fn over every sub-batch span of group g, re-installing the
-// arena views per span and, when the group opens with a pipelined conv,
-// overlapping span b's compute with the packer goroutine lowering span b+1's
-// im2col panels into the spare slab.
+// arena views per span.
 func (e *mbsExec) phaseSpans(g int, fn func(int, mbsSpan)) {
 	e.curGroup = g
 	eg := &e.groups[g]
-	if eg.conv == nil {
-		for si, sp := range e.spans {
-			e.installFor(eg, sp.size)
-			fn(si, sp)
-		}
-		return
-	}
-	cur := 0
-	tensor.Im2ColPack(eg.slabs[cur][:e.colLen(eg, e.spans[0].size)], e.inputView(g, 0), eg.conv.Spec)
 	for si, sp := range e.spans {
-		if si+1 < len(e.spans) {
-			nxt := e.spans[si+1]
-			e.packCh <- packReq{
-				col:  eg.slabs[1-cur][:e.colLen(eg, nxt.size)],
-				x:    e.inputView(g, si+1),
-				spec: eg.conv.Spec,
-			}
+		if sp.size == e.plan.SubBatch {
+			eg.sub.install()
+		} else {
+			eg.rem.install()
 		}
-		e.installFor(eg, sp.size)
-		eg.conv.col = eg.slabs[cur][:e.colLen(eg, sp.size)]
-		eg.conv.prepacked = true
 		fn(si, sp)
-		eg.conv.prepacked = false
-		if si+1 < len(e.spans) {
-			<-e.packDone
-		}
-		cur = 1 - cur
 	}
 }
 
@@ -431,28 +376,19 @@ func (e *mbsExec) accumulate(x *tensor.Tensor, labels []int) float64 {
 
 // SetMBSPlan installs a grouped execution plan (from PlanMBS) on the model:
 // subsequent TrainStepMBS/AccumulateGradsMBS calls whose input shape and
-// sub-batch match the plan run on the grouped executor; everything else
-// falls back to the layer-by-layer path. Passing nil clears the plan.
+// sub-batch match the plan run on its groups; other calls run as a single
+// group. Passing nil removes the plan.
 func (m *Model) SetMBSPlan(p *MBSPlan) error {
 	if p == nil {
-		m.ClearMBSPlan()
+		m.mbs = nil
 		return nil
 	}
 	e, err := newMBSExec(m, p)
 	if err != nil {
 		return err
 	}
-	m.ClearMBSPlan()
 	m.mbs = e
 	return nil
-}
-
-// ClearMBSPlan removes the installed plan and stops the packer goroutine.
-func (m *Model) ClearMBSPlan() {
-	if m.mbs != nil && m.mbs.packCh != nil {
-		close(m.mbs.packCh)
-	}
-	m.mbs = nil
 }
 
 // MBSPlan returns the installed plan, or nil.

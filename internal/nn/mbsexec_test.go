@@ -1,27 +1,60 @@
 package nn
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// minGroupBudget finds the smallest power-of-two-scaled budget the planner
-// accepts for the model — the plan with the most groups the model admits.
+// minGroupBudget finds the smallest power-of-two-scaled budget at which
+// every unit of the model fits on its own — the plan with the most groups
+// the model admits. PlanMBS may still refuse that plan for another reason
+// (BatchNorm outside the last group); the caller sees it when it plans.
 func minGroupBudget(t *testing.T, m *Model, shape []int, sub int) int64 {
 	t.Helper()
 	budget := int64(32 << 10)
 	for budget < 1<<40 {
-		if _, err := m.PlanMBS(shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget}); err == nil {
+		_, err := m.PlanMBS(shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
+		if err == nil || !strings.Contains(err.Error(), "alone needs") {
 			return budget
 		}
 		budget *= 2
 	}
 	t.Fatal("no budget admits a plan")
 	return 0
+}
+
+// mbsOracle is the layer-by-layer sub-batch loop the planned executor
+// replaced, kept as the bit-identity reference: every sub-batch runs
+// forward, loss and backward through the whole net before the next one.
+// Run it on a model no executor has run on: the views an installed plan
+// leaves in the layers may overlap across groups, while this loop keeps
+// every layer's buffers live at once.
+func mbsOracle(m *Model, x *tensor.Tensor, labels []int, subBatch int) float64 {
+	n := x.Shape[0]
+	m.zeroGrads()
+	var loss float64
+	for from := 0; from < n; from += subBatch {
+		to := from + subBatch
+		if to > n {
+			to = n
+		}
+		xs := tensor.SliceBatch(x, from, to)
+		subLoss, dlogits := m.Loss(xs, labels[from:to], true)
+		// The loss averages over the sub-batch; re-scale so that gradient
+		// contributions accumulate to the full-batch mean.
+		scale := float64(to-from) / float64(n)
+		dlogits.Scale(scale)
+		m.Net.Backward(dlogits)
+		loss += subLoss * scale
+	}
+	return loss
 }
 
 // grabGrads snapshots all parameter gradients.
@@ -48,124 +81,110 @@ func expectBitIdentical(t *testing.T, m *Model, ref map[string]*tensor.Tensor, c
 	}
 }
 
+// expectOracleMatch runs one AccumulateGradsMBS on m and requires the loss
+// and every gradient to equal the oracle's bit for bit.
+func expectOracleMatch(t *testing.T, m *Model, x *tensor.Tensor, labels []int, sub int,
+	lossRef float64, ref map[string]*tensor.Tensor, ctx string) {
+	t.Helper()
+	if loss := m.AccumulateGradsMBS(x, labels, sub); loss != lossRef {
+		t.Fatalf("%s: loss %g != oracle %g", ctx, loss, lossRef)
+	}
+	expectBitIdentical(t, m, ref, ctx)
+}
+
 // TestGroupedMBSBitIdenticalToLayerByLayer is the executor's core contract:
-// for every group count the budget can force — including ragged sub-batches
-// — the grouped executor reproduces the legacy layer-by-layer MBS gradients
-// and loss to the last bit on a GroupNorm model.
+// the single-group path a call without a plan takes, and every group count
+// the budget can force — including ragged sub-batches — reproduce the
+// oracle's loss and gradients to the last bit on a GroupNorm model, on both
+// engines and across thread counts.
 func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
-	m, x, labels := buildTestModel(31)
-	shape := x.Shape
-	const sub = 3 // batch 8 → spans 3,3,2 (ragged)
+	defer tensor.SetEngine(tensor.CurrentEngine())
+	defer tensor.SetThreads(tensor.SetThreads(1))
+	// The naive kernels run on one goroutine whatever the thread count.
+	runs := []struct {
+		eng     tensor.Engine
+		threads int
+	}{{tensor.EngineGEMM, 1}, {tensor.EngineGEMM, 3}, {tensor.EngineNaive, 1}}
+	for _, run := range runs {
+		for _, shape := range []struct{ batch, sub int }{{8, 3}, {32, 5}} {
+			tensor.SetEngine(run.eng)
+			tensor.SetThreads(run.threads)
+			ctx := fmt.Sprintf("%s threads=%d batch=%d sub=%d", run.eng, run.threads, shape.batch, shape.sub)
+			oracle, x, labels := buildTestModelBatch(31, shape.batch)
+			lossRef := mbsOracle(oracle, x, labels, shape.sub)
+			ref := grabGrads(oracle)
 
-	lossRef := m.AccumulateGradsMBS(x, labels, sub)
-	ref := grabGrads(m)
-
-	minBudget := minGroupBudget(t, m, shape, sub)
-	budgets := []int64{minBudget, 4 * minBudget, 1 << 30}
-	seen := map[int]bool{}
-	for _, budget := range budgets {
-		plan, err := m.PlanMBS(shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		seen[len(plan.Groups)] = true
-		if err := m.SetMBSPlan(plan); err != nil {
-			t.Fatalf("budget %d: SetMBSPlan: %v", budget, err)
-		}
-		for step := 0; step < 2; step++ { // second step exercises warm arenas
-			loss := m.AccumulateGradsMBS(x, labels, sub)
-			if loss != lossRef {
-				t.Fatalf("budget %d (groups=%d) step %d: loss %g != legacy %g",
-					budget, len(plan.Groups), step, loss, lossRef)
+			m, _, _ := buildTestModelBatch(31, shape.batch)
+			for step := 0; step < 2; step++ { // second step exercises warm arenas
+				expectOracleMatch(t, m, x, labels, shape.sub, lossRef, ref, ctx+" no plan")
 			}
-			expectBitIdentical(t, m, ref, plan.Summary())
+			minBudget := minGroupBudget(t, m, x.Shape, shape.sub)
+			seen := map[int]bool{}
+			for _, budget := range []int64{minBudget, 4 * minBudget, 1 << 30} {
+				plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: shape.sub, BudgetBytes: budget})
+				if err != nil {
+					t.Fatalf("%s budget %d: %v", ctx, budget, err)
+				}
+				seen[len(plan.Groups)] = true
+				if err := m.SetMBSPlan(plan); err != nil {
+					t.Fatalf("%s budget %d: SetMBSPlan: %v", ctx, budget, err)
+				}
+				for step := 0; step < 2; step++ {
+					expectOracleMatch(t, m, x, labels, shape.sub, lossRef, ref, ctx+" "+plan.Summary())
+				}
+			}
+			if len(seen) < 2 || !seen[1] {
+				t.Fatalf("%s: budget sweep produced group counts %v, want 1 and at least one more", ctx, seen)
+			}
 		}
-		m.ClearMBSPlan()
-	}
-	if len(seen) < 2 {
-		t.Fatalf("budget sweep produced only group counts %v, want at least 2 distinct", seen)
-	}
-	if !seen[1] {
-		t.Fatal("1<<30 budget should yield a single group")
 	}
 }
 
-// TestGroupedMBSPipelineBitIdentical: double-buffered im2col prepacking must
-// not change a single bit, for single- and multi-group plans, across thread
-// counts.
-func TestGroupedMBSPipelineBitIdentical(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
-	defer tensor.SetThreads(tensor.SetThreads(1))
-	for _, threads := range []int{1, 3} {
-		tensor.SetThreads(threads)
-		m, x, labels := buildTestModel(32)
+// TestGroupedMBSResidualEquivalence extends the repo's central equivalence
+// tests to residual models: under GroupNorm every plan and the no-plan path
+// match the oracle bit-for-bit and the full-batch gradients to 1e-9, on
+// both engines.
+func TestGroupedMBSResidualEquivalence(t *testing.T) {
+	defer tensor.SetEngine(tensor.CurrentEngine())
+	for _, eng := range []tensor.Engine{tensor.EngineGEMM, tensor.EngineNaive} {
+		tensor.SetEngine(eng)
+		build := func() *Model { return BuildSmallResNet(rand.New(rand.NewSource(33)), 3, 16, 8, NormGroup, 8) }
+		rng := rand.New(rand.NewSource(34))
+		x := tensor.New(8, 3, 16, 16)
+		x.Randn(rng, 1)
+		labels := make([]int, 8)
+		for i := range labels {
+			labels[i] = rng.Intn(8)
+		}
 		const sub = 3
-		lossRef := m.AccumulateGradsMBS(x, labels, sub)
-		ref := grabGrads(m)
+
+		full := build()
+		lossFull := full.AccumulateGradsFull(x, labels)
+		refFull := grabGrads(full)
+		oracle := build()
+		lossRef := mbsOracle(oracle, x, labels, sub)
+		ref := grabGrads(oracle)
+		if math.Abs(lossRef-lossFull) > 1e-9 {
+			t.Fatalf("%s: oracle MBS loss %g vs full %g", eng, lossRef, lossFull)
+		}
+
+		m := build()
+		expectOracleMatch(t, m, x, labels, sub, lossRef, ref, eng.String()+" no plan")
 		for _, budget := range []int64{minGroupBudget(t, m, x.Shape, sub), 1 << 30} {
-			plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget, Pipeline: true})
+			plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := m.SetMBSPlan(plan); err != nil {
 				t.Fatal(err)
 			}
-			if loss := m.AccumulateGradsMBS(x, labels, sub); loss != lossRef {
-				t.Fatalf("threads=%d groups=%d: pipelined loss %g != %g", threads, len(plan.Groups), loss, lossRef)
-			}
-			expectBitIdentical(t, m, ref, "pipelined "+plan.Summary())
-			m.ClearMBSPlan()
-		}
-	}
-}
-
-// TestGroupedMBSResidualEquivalence extends the repo's central equivalence
-// tests to residual models: under GroupNorm the grouped executor matches the
-// legacy MBS path bit-for-bit and the full-batch gradients to 1e-9, for every
-// budget.
-func TestGroupedMBSResidualEquivalence(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
-	rng := rand.New(rand.NewSource(33))
-	m := BuildSmallResNet(rng, 3, 16, 8, NormGroup, 8)
-	x := tensor.New(8, 3, 16, 16)
-	x.Randn(rng, 1)
-	labels := make([]int, 8)
-	for i := range labels {
-		labels[i] = rng.Intn(8)
-	}
-	const sub = 3
-
-	lossFull := m.AccumulateGradsFull(x, labels)
-	refFull := grabGrads(m)
-	lossMBS := m.AccumulateGradsMBS(x, labels, sub)
-	refMBS := grabGrads(m)
-	if math.Abs(lossMBS-lossFull) > 1e-9 {
-		t.Fatalf("legacy MBS loss %g vs full %g", lossMBS, lossFull)
-	}
-
-	for _, budget := range []int64{minGroupBudget(t, m, x.Shape, sub), 1 << 30} {
-		plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMBSPlan(plan); err != nil {
-			t.Fatal(err)
-		}
-		loss := m.AccumulateGradsMBS(x, labels, sub)
-		if loss != lossMBS {
-			t.Fatalf("groups=%d: grouped loss %g != legacy MBS %g", len(plan.Groups), loss, lossMBS)
-		}
-		expectBitIdentical(t, m, refMBS, plan.Summary())
-		for _, p := range m.Params() {
-			if d := p.Grad.MaxAbsDiff(refFull[p.Name]); d > 1e-9 {
-				t.Errorf("groups=%d: %s differs from full-batch by %g", len(plan.Groups), p.Name, d)
+			expectOracleMatch(t, m, x, labels, sub, lossRef, ref, eng.String()+" "+plan.Summary())
+			for _, p := range m.Params() {
+				if d := p.Grad.MaxAbsDiff(refFull[p.Name]); d > 1e-9 {
+					t.Errorf("%s groups=%d: %s differs from full-batch by %g", eng, len(plan.Groups), p.Name, d)
+				}
 			}
 		}
-		if math.Abs(loss-lossFull) > 1e-9 {
-			t.Errorf("groups=%d: grouped loss %g vs full %g", len(plan.Groups), loss, lossFull)
-		}
-		m.ClearMBSPlan()
 	}
 }
 
@@ -192,7 +211,6 @@ func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
 	if err := m.SetMBSPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	defer m.ClearMBSPlan()
 	m.AccumulateGradsMBS(x, labels, 3)
 	var maxDiff float64
 	for _, p := range m.Params() {
@@ -205,28 +223,50 @@ func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
 	}
 }
 
+// TestMBSPlanRefusesBatchNormRecompute: a BatchNorm in a re-forwarded group
+// would update its statistics twice per step, so PlanMBS refuses the plan
+// with ErrBatchNormRecompute — for a top-level BN and for one inside a
+// residual branch — while the single-group plan still builds.
+func TestMBSPlanRefusesBatchNormRecompute(t *testing.T) {
+	x := tensor.New(8, 3, 16, 16)
+	resnet := func() *Model { return BuildSmallResNet(rand.New(rand.NewSource(35)), 3, 16, 8, NormBatch, 0) }
+	branchOnly := resnet()
+	// Drop the stem's BatchNorm: the remaining ones sit in residual branches.
+	branchOnly.Net.Layers = append(branchOnly.Net.Layers[:1:1], branchOnly.Net.Layers[2:]...)
+	for name, m := range map[string]*Model{"top-level": resnet(), "branch": branchOnly} {
+		budget := minGroupBudget(t, m, x.Shape, 3)
+		_, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: budget})
+		if !errors.Is(err, ErrBatchNormRecompute) {
+			t.Errorf("%s: minimal budget %d: err %v, want ErrBatchNormRecompute", name, budget, err)
+		}
+		if _, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: 1 << 30}); err != nil {
+			t.Errorf("%s: single-group plan refused: %v", name, err)
+		}
+	}
+}
+
 // TestGroupedMBSTrainStepInterleaving: full-batch steps between grouped MBS
 // steps resize the layers' persistent buffers, so the executor must
 // re-install its arena views — whole optimizer trajectories stay bit-equal
-// to the legacy interleaving.
+// to the oracle's interleaving.
 func TestGroupedMBSTrainStepInterleaving(t *testing.T) {
 	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	a, x, labels := buildTestModel(35)
 	b, _, _ := buildTestModel(35)
 	const sub = 3
-	plan, err := a.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: 1 << 30})
+	plan, err := a.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: minGroupBudget(t, a, x.Shape, sub)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.SetMBSPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	defer a.ClearMBSPlan()
 	optA := &SGD{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4}
 	optB := &SGD{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4}
 	for step := 0; step < 2; step++ {
 		la := a.TrainStepMBS(x, labels, sub, optA)
-		lb := b.TrainStepMBS(x, labels, sub, optB)
+		lb := mbsOracle(b, x, labels, sub)
+		optB.Step(b.Params())
 		if la != lb {
 			t.Fatalf("step %d: MBS losses diverged (%g vs %g)", step, la, lb)
 		}
@@ -244,33 +284,128 @@ func TestGroupedMBSTrainStepInterleaving(t *testing.T) {
 	}
 }
 
-// TestGroupedMBSFallback: a call that doesn't match the installed plan (other
-// sub-batch, other batch size) must fall back to the layer-by-layer path and
-// stay correct.
+// TestGroupedMBSFallback: calls that the installed plan does not cover run
+// on a single-group executor built on first use; switching back and forth
+// keeps both bit-identical to the oracle, the installed plan stays, and
+// only one single-group executor is kept, rebuilt when the call changes.
 func TestGroupedMBSFallback(t *testing.T) {
 	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	m, x, labels := buildTestModel(36)
-	lossOther := m.AccumulateGradsMBS(x, labels, 4)
-	refOther := grabGrads(m)
-
-	plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: 1 << 30})
+	plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: minGroupBudget(t, m, x.Shape, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetMBSPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	defer m.ClearMBSPlan()
-	if loss := m.AccumulateGradsMBS(x, labels, 4); loss != lossOther {
-		t.Fatalf("fallback sub=4 loss %g != %g", loss, lossOther)
+	installed := m.mbs
+	refs := map[int]map[string]*tensor.Tensor{}
+	losses := map[int]float64{}
+	for _, sub := range []int{3, 4, 2} {
+		o, _, _ := buildTestModel(36)
+		losses[sub] = mbsOracle(o, x, labels, sub)
+		refs[sub] = grabGrads(o)
 	}
-	expectBitIdentical(t, m, refOther, "fallback")
+	var single *mbsExec
+	for i, sub := range []int{4, 3, 4, 3, 2} {
+		ctx := fmt.Sprintf("call %d sub=%d", i, sub)
+		expectOracleMatch(t, m, x, labels, sub, losses[sub], refs[sub], ctx)
+		if m.mbs != installed || m.MBSPlan() != plan {
+			t.Fatalf("%s: installed plan replaced", ctx)
+		}
+		switch {
+		case sub == 3 && m.single != single:
+			t.Fatalf("%s: a call the plan covers touched the single-group executor", ctx)
+		case sub != 3 && m.single.plan.SubBatch != sub:
+			t.Fatalf("%s: single-group executor is for sub-batch %d", ctx, m.single.plan.SubBatch)
+		case i == 2 && m.single != single:
+			t.Fatalf("%s: single-group executor rebuilt for an unchanged call", ctx)
+		}
+		if got := len(m.single.plan.Groups); got != 1 {
+			t.Fatalf("%s: fallback executor has %d groups", ctx, got)
+		}
+		single = m.single
+	}
+}
+
+// TestGroupedMBSSubBatchRule: both entry points treat a sub-batch <= 0 or
+// above the batch size as the whole batch.
+func TestGroupedMBSSubBatchRule(t *testing.T) {
+	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
+	oracle, x, labels := buildTestModel(39)
+	n := x.Shape[0]
+	lossRef := mbsOracle(oracle, x, labels, n)
+	ref := grabGrads(oracle)
+	optRef := &SGD{LR: 0.05, Momentum: 0.9}
+	optRef.Step(oracle.Params())
+
+	for _, sub := range []int{0, -1, n, n + 1} {
+		ctx := fmt.Sprintf("sub=%d", sub)
+		m, _, _ := buildTestModel(39)
+		expectOracleMatch(t, m, x, labels, sub, lossRef, ref, "AccumulateGradsMBS "+ctx)
+
+		m, _, _ = buildTestModel(39)
+		if loss := m.TrainStepMBS(x, labels, sub, &SGD{LR: 0.05, Momentum: 0.9}); loss != lossRef {
+			t.Fatalf("TrainStepMBS %s: loss %g != oracle %g", ctx, loss, lossRef)
+		}
+		pm, po := m.Params(), oracle.Params()
+		for i := range pm {
+			for j := range pm[i].Data.Data {
+				if pm[i].Data.Data[j] != po[i].Data.Data[j] {
+					t.Fatalf("TrainStepMBS %s: %s differs from the oracle step", ctx, pm[i].Name)
+				}
+			}
+		}
+	}
+}
+
+// countingLayer delegates to a layer and counts the calls, the way the
+// benchmark's per-layer timers wrap a model's layers.
+type countingLayer struct {
+	Layer
+	calls *int
+}
+
+func (c countingLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	*c.calls++
+	return c.Layer.Forward(x, train)
+}
+
+func (c countingLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	*c.calls++
+	return c.Layer.Backward(dy)
+}
+
+// TestGroupedMBSSingleGroupThroughWrappers: once built, the single-group
+// executor runs whatever Net.Layers holds, so swapping the layers for
+// delegating wrappers after warm-up routes every call through them without
+// changing a bit.
+func TestGroupedMBSSingleGroupThroughWrappers(t *testing.T) {
+	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
+	oracle, x, labels := buildTestModel(40)
+	lossRef := mbsOracle(oracle, x, labels, 3)
+	ref := grabGrads(oracle)
+
+	m, _, _ := buildTestModel(40)
+	m.AccumulateGradsMBS(x, labels, 3)
+	var calls int
+	wrapped := make([]Layer, len(m.Net.Layers))
+	for i, l := range m.Net.Layers {
+		wrapped[i] = countingLayer{l, &calls}
+	}
+	m.Net.Layers = wrapped
+	expectOracleMatch(t, m, x, labels, 3, lossRef, ref, "wrapped layers")
+	// 3 spans, forward and backward through every layer.
+	if want := 3 * 2 * len(wrapped); calls != want {
+		t.Errorf("wrappers saw %d calls, want %d", calls, want)
+	}
 }
 
 // TestGroupedMBSZeroAlloc is the scratch-arena contract across group
-// boundaries (and the whole grouped step): after warm-up, a grouped MBS
-// train step — ragged sub-batches, multi-group plan, fp32 and fp16, with and
-// without the pipeline — allocates nothing.
+// boundaries (and the whole grouped step): after warm-up, an MBS train
+// step — ragged sub-batches, multi-group and single-group plans, fp32 and
+// fp16, and the no-plan path at the trainer's default batch 32 / sub-batch
+// 5 — allocates nothing.
 func TestGroupedMBSZeroAlloc(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -279,41 +414,43 @@ func TestGroupedMBSZeroAlloc(t *testing.T) {
 	defer tensor.SetThreads(tensor.SetThreads(1))
 
 	cases := []struct {
-		name     string
-		fp16     bool
-		pipeline bool
-		budget   int64
+		name       string
+		fp16       bool
+		budget     int64 // 0 = minimal multi-group budget, -1 = no plan
+		batch, sub int
 	}{
-		{"fp32-multigroup", false, false, 0},
-		{"fp32-singlegroup", false, false, 1 << 30},
-		{"fp32-pipeline", false, true, 0},
-		{"fp16-multigroup", true, false, 0},
+		{"fp32-multigroup", false, 0, 8, 3},
+		{"fp32-singlegroup", false, 1 << 30, 8, 3},
+		{"fp16-multigroup", true, 0, 8, 3},
+		{"fp32-noplan", false, -1, 32, 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, x, labels := buildTestModel(37)
-			const sub = 3
-			budget := tc.budget
-			if budget == 0 {
-				budget = 4 * minGroupBudget(t, m, x.Shape, sub)
+			m, x, labels := buildTestModelBatch(37, tc.batch)
+			groups := 1
+			if tc.budget >= 0 {
+				budget := tc.budget
+				if budget == 0 {
+					budget = 4 * minGroupBudget(t, m, x.Shape, tc.sub)
+				}
+				plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: tc.sub, BudgetBytes: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.SetMBSPlan(plan); err != nil {
+					t.Fatal(err)
+				}
+				groups = len(plan.Groups)
 			}
-			plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget, Pipeline: tc.pipeline})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetMBSPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-			defer m.ClearMBSPlan()
 			if tc.fp16 {
 				m.SetFP16Weights(true)
 			}
 			opt := &SGD{LR: 0.01, Momentum: 0.9}
-			m.TrainStepMBS(x, labels, sub, opt) // warm arenas + pooled scratch
-			m.TrainStepMBS(x, labels, sub, opt)
-			if allocs := testing.AllocsPerRun(5, func() { m.TrainStepMBS(x, labels, sub, opt) }); allocs != 0 {
-				t.Errorf("grouped MBS train step (%s, groups=%d) allocates %v/op after warm-up, want 0",
-					tc.name, len(plan.Groups), allocs)
+			m.TrainStepMBS(x, labels, tc.sub, opt) // warm arenas + pooled scratch
+			m.TrainStepMBS(x, labels, tc.sub, opt)
+			if allocs := testing.AllocsPerRun(5, func() { m.TrainStepMBS(x, labels, tc.sub, opt) }); allocs != 0 {
+				t.Errorf("MBS train step (%s, groups=%d) allocates %v/op after warm-up, want 0",
+					tc.name, groups, allocs)
 			}
 		})
 	}
@@ -383,9 +520,10 @@ func TestMBSPlanShapes(t *testing.T) {
 	}
 }
 
-// TestParseByteSize pins the budget-flag syntax.
-func TestParseByteSize(t *testing.T) {
-	cases := map[string]int64{
+// byteSizes and badByteSizes pin the budget-flag syntax; they also seed
+// FuzzParseByteSize.
+var (
+	byteSizes = map[string]int64{
 		"1048576": 1 << 20,
 		"512K":    512 << 10,
 		"8MiB":    8 << 20,
@@ -394,18 +532,45 @@ func TestParseByteSize(t *testing.T) {
 		"64B":     64,
 		" 2m ":    2 << 20,
 	}
-	for in, want := range cases {
+	badByteSizes = []string{"", "x", "12Q", "MiB", "-5M", "-1", "9000000000G", "9223372036854775808"}
+)
+
+func TestParseByteSize(t *testing.T) {
+	for in, want := range byteSizes {
 		got, err := ParseByteSize(in)
 		if err != nil || got != want {
 			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "12Q", "MiB"} {
-		if _, err := ParseByteSize(bad); err == nil {
-			t.Errorf("ParseByteSize(%q) should fail", bad)
+	for _, bad := range badByteSizes {
+		if got, err := ParseByteSize(bad); err == nil {
+			t.Errorf("ParseByteSize(%q) = %d, should fail", bad, got)
 		}
 	}
 	if b, src := DetectCacheBudget(); b <= 0 || src == "" {
 		t.Errorf("DetectCacheBudget() = %d, %q", b, src)
 	}
+}
+
+// FuzzParseByteSize: no input panics, and every accepted size is
+// non-negative and parses back from its decimal form.
+func FuzzParseByteSize(f *testing.F) {
+	for in := range byteSizes {
+		f.Add(in)
+	}
+	for _, in := range badByteSizes {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := ParseByteSize(s)
+		if err != nil {
+			return
+		}
+		if n < 0 {
+			t.Fatalf("ParseByteSize(%q) = %d, negative", s, n)
+		}
+		if back, err := ParseByteSize(strconv.FormatInt(n, 10)); err != nil || back != n {
+			t.Fatalf("ParseByteSize(%q) = %d does not round-trip: %d, %v", s, n, back, err)
+		}
+	})
 }

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,10 +41,6 @@ type MBSPlanConfig struct {
 	// BudgetBytes is the cache budget a group's working set must fit.
 	// <= 0 autodetects from the CPU cache topology (DetectCacheBudget).
 	BudgetBytes int64
-	// Pipeline enables double-buffered sub-batch pipelining: a packer
-	// goroutine lowers sub-batch b+1's im2col panels into a second scratch
-	// arena while sub-batch b computes.
-	Pipeline bool
 }
 
 // MBSGroup is one planned layer group: units [First, Last] of the model,
@@ -78,7 +76,6 @@ type MBSPlan struct {
 	BudgetBytes  int64
 	BudgetAuto   bool
 	BudgetSource string // cache level the auto budget came from
-	Pipeline     bool
 
 	Groups []MBSGroup
 
@@ -93,9 +90,10 @@ type MBSPlan struct {
 	// paper deliberately sends to DRAM once per step. Zero for a one-group
 	// plan.
 	BoundaryBytes int64
-	// FullFootprintBytes is the unplanned layer-by-layer path's per-layer
-	// persistent buffers plus its sub-batch input copy, at the same
-	// sub-batch size — the baseline PeakArenaBytes is measured against.
+	// FullFootprintBytes is what the layers hold in private per-layer
+	// buffers without a planned arena, plus a copy of the sub-batch input,
+	// at the same sub-batch size — the baseline PeakArenaBytes is measured
+	// against.
 	FullFootprintBytes int64
 }
 
@@ -127,16 +125,13 @@ type auxBuf struct {
 // counts as a single unit; its branch layers are folded in with every buffer
 // retained, since branch gradients interleave with the merge).
 type unitSpec struct {
-	label    string
-	inShape  []int // including batch dim
-	outShape []int
-	bufs     []arenaBuf
-	aux      []auxBuf
+	label       string
+	inShape     []int // including batch dim
+	outShape    []int
+	bufs        []arenaBuf
+	aux         []auxBuf
 	weightBytes int64
-	// conv is set when the unit is a plain Conv2D — the pipeline's prepack
-	// target when the unit opens a group. colElems is its im2col length.
-	conv     *Conv2D
-	colElems int
+	batchNorm   bool // the unit is or contains a BatchNorm2D
 }
 
 func prodShape(s []int) int {
@@ -218,13 +213,11 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 		}
 		oh, ow := v.Spec.OutDims(in[2], in[3])
 		u.outShape = []int{n, v.Spec.OutC, oh, ow}
-		u.conv = v
-		u.colElems = n * v.Spec.InC * v.Spec.KH * v.Spec.KW * oh * ow
 		c := v
 		u.bufs = append(u.bufs,
 			arenaBuf{elems: prodShape(u.outShape), shape: u.outShape, retained: true,
 				installT: func(t *tensor.Tensor) { c.out.train = t }},
-			arenaBuf{elems: u.colElems, retained: true,
+			arenaBuf{elems: n * v.Spec.InC * v.Spec.KH * v.Spec.KW * oh * ow, retained: true,
 				installS: func(s []float64) { c.col = s }},
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
 				installT: func(t *tensor.Tensor) { c.dx = t }},
@@ -295,6 +288,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 			return u, err
 		}
 		u.outShape = u.inShape
+		u.batchNorm = true
 		b := v
 		u.bufs = append(u.bufs,
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true,
@@ -343,6 +337,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 				u.bufs = append(u.bufs, su.bufs...)
 				u.aux = append(u.aux, su.aux...)
 				u.weightBytes += su.weightBytes
+				u.batchNorm = u.batchNorm || su.batchNorm
 				cur = su.outShape
 			}
 			return cur, nil
@@ -438,10 +433,17 @@ func measureGroup(units []unitSpec, first, last int) MBSGroup {
 	}
 }
 
+// ErrBatchNormRecompute is returned (wrapped) by PlanMBS when a BatchNorm2D
+// would land in a group other than the last. Those groups are re-forwarded
+// during the backward phase, so their batch statistics — and the running
+// statistics — would update twice per step.
+var ErrBatchNormRecompute = errors.New("nn: mbs plan: BatchNorm in a re-forwarded group")
+
 // PlanMBS builds a grouped MBS execution plan for inputs of shape inShape
 // (batch dim included). Greedy contiguous fill: each group takes as many
 // consecutive units as fit the budget. A single unit over the budget is a
-// hard error — a degenerate silently-thrashing schedule helps nobody.
+// hard error — a degenerate silently-thrashing schedule helps nobody — and
+// so is a BatchNorm outside the last group (ErrBatchNormRecompute).
 func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 	if len(inShape) < 2 {
 		return nil, fmt.Errorf("nn: mbs plan: input shape %v needs a batch dim", inShape)
@@ -480,13 +482,19 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 		groups = append(groups, g)
 		i = j + 1
 	}
+	for gi, g := range groups[:len(groups)-1] {
+		for u := g.First; u <= g.Last; u++ {
+			if units[u].batchNorm {
+				return nil, fmt.Errorf("%w: %s in group %d of %d", ErrBatchNormRecompute, units[u].label, gi, len(groups))
+			}
+		}
+	}
 
 	p := &MBSPlan{
 		Batch: batch, SubBatch: sub,
 		Sample:      append([]int(nil), inShape[1:]...),
 		BudgetBytes: budget, BudgetAuto: auto, BudgetSource: source,
-		Pipeline: cfg.Pipeline,
-		Groups:   groups,
+		Groups: groups,
 	}
 	for _, g := range groups {
 		if a := g.ArenaBytes + g.AuxBytes; a > p.PeakArenaBytes {
@@ -512,7 +520,7 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 			p.FullFootprintBytes += int64(a.elems) * int64(a.elemBytes)
 		}
 	}
-	p.FullFootprintBytes += int64(prodShape(units[0].inShape)) * 8 // SliceBatch copy
+	p.FullFootprintBytes += int64(prodShape(units[0].inShape)) * 8 // sub-batch input copy
 	return p, nil
 }
 
@@ -523,13 +531,9 @@ func (p *MBSPlan) Summary() string {
 	if p.BudgetAuto {
 		budget += " auto:" + p.BudgetSource
 	}
-	pipe := ""
-	if p.Pipeline {
-		pipe = ", pipelined"
-	}
-	return fmt.Sprintf("MBS plan: %d group(s), sub-batch %d, peak arena %s of %s budget, boundary stash %s, unplanned footprint %s%s",
+	return fmt.Sprintf("MBS plan: %d group(s), sub-batch %d, peak arena %s of %s budget, boundary stash %s, unplanned footprint %s",
 		len(p.Groups), p.SubBatch, humanBytes(p.PeakArenaBytes), budget,
-		humanBytes(p.BoundaryBytes), humanBytes(p.FullFootprintBytes), pipe)
+		humanBytes(p.BoundaryBytes), humanBytes(p.FullFootprintBytes))
 }
 
 // MetricsLine is the machine-readable form the bench harness prints and
@@ -588,7 +592,8 @@ func readSysFile(path string) string {
 }
 
 // ParseByteSize parses "1048576", "512K", "8MiB", "2GB" etc. into bytes.
-// All suffixes are binary (K = 1024), matching sysfs cache sizes.
+// All suffixes are binary (K = 1024), matching sysfs cache sizes. Negative
+// sizes and sizes past the int64 range are errors.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.ToUpper(strings.TrimSpace(s))
 	if t == "" {
@@ -606,7 +611,7 @@ func ParseByteSize(s string) (int64, error) {
 		mult, t = 1<<30, t[:len(t)-1]
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("nn: bad byte size %q", s)
 	}
 	return n * mult, nil

@@ -77,7 +77,8 @@ type Model struct {
 	params   []*Param       // memoized: Sequential.Params allocates per call
 	lossGrad *tensor.Tensor // reused dLogits buffer (GEMM engine)
 	fp16     []*Linear      // layers on the fp16-weight path (see fp16.go)
-	mbs      *mbsExec       // grouped MBS executor (see mbsexec.go), nil = off
+	mbs      *mbsExec       // executor of the installed plan (see mbsexec.go), nil = none
+	single   *mbsExec       // single-group executor of the last uncovered call
 }
 
 // Params returns the model's parameters, memoized — the layer structure is
@@ -130,33 +131,7 @@ func (m *Model) TrainStepFull(x *tensor.Tensor, labels []int, opt *SGD) float64 
 // gradients as TrainStepFull; with BatchNorm it silently changes the
 // statistics, which is why the paper adapts GN for MBS.
 func (m *Model) TrainStepMBS(x *tensor.Tensor, labels []int, subBatch int, opt *SGD) float64 {
-	n := x.Shape[0]
-	if subBatch <= 0 || subBatch > n {
-		subBatch = n
-	}
-	m.zeroGrads()
-	if m.mbs.matches(x, subBatch) {
-		loss := m.mbs.accumulate(x, labels)
-		opt.Step(m.Params())
-		m.refreshFP16()
-		return loss
-	}
-	var loss float64
-	for from := 0; from < n; from += subBatch {
-		to := from + subBatch
-		if to > n {
-			to = n
-		}
-		xs := tensor.SliceBatch(x, from, to)
-		ls := labels[from:to]
-		subLoss, dlogits := m.Loss(xs, ls, true)
-		// The loss averages over the sub-batch; re-scale so that gradient
-		// contributions accumulate to the full-batch mean.
-		scale := float64(to-from) / float64(n)
-		dlogits.Scale(scale)
-		m.Net.Backward(dlogits)
-		loss += subLoss * scale
-	}
+	loss := m.AccumulateGradsMBS(x, labels, subBatch)
 	opt.Step(m.Params())
 	m.refreshFP16()
 	return loss
@@ -172,27 +147,17 @@ func (m *Model) AccumulateGradsFull(x *tensor.Tensor, labels []int) float64 {
 }
 
 // AccumulateGradsMBS computes MBS-serialized gradients without updating
-// parameters (test hook for the equivalence property).
+// parameters and returns the mini-batch loss. A subBatch <= 0 or above the
+// batch size means the whole batch. The call runs on the installed plan
+// (SetMBSPlan) when it was made for this input shape and sub-batch, and on
+// one group covering the whole model otherwise (see mbsexec.go).
 func (m *Model) AccumulateGradsMBS(x *tensor.Tensor, labels []int, subBatch int) float64 {
-	n := x.Shape[0]
+	if n := x.Shape[0]; subBatch <= 0 || subBatch > n {
+		subBatch = n
+	}
+	e := m.execFor(x, subBatch)
 	m.zeroGrads()
-	if m.mbs.matches(x, subBatch) {
-		return m.mbs.accumulate(x, labels)
-	}
-	var loss float64
-	for from := 0; from < n; from += subBatch {
-		to := from + subBatch
-		if to > n {
-			to = n
-		}
-		xs := tensor.SliceBatch(x, from, to)
-		subLoss, dlogits := m.Loss(xs, labels[from:to], true)
-		scale := float64(to-from) / float64(n)
-		dlogits.Scale(scale)
-		m.Net.Backward(dlogits)
-		loss += subLoss * scale
-	}
-	return loss
+	return e.accumulate(x, labels)
 }
 
 // Evaluate returns classification accuracy on a labeled set.
