@@ -16,6 +16,7 @@ import (
 // synchronous runs, batched inference), and assert that
 //
 //   - every submitted job's terminal state arrives as a job.state event,
+//   - every submitted job has at least one claimed shard lease on job.lease,
 //   - sweep.cell and infer.flush events flow while the work runs, and
 //   - the server's http_request_duration_seconds histogram counts move by
 //     exactly the number of requests this client sent, per route.
@@ -45,7 +46,7 @@ func smokeEvents(ctx context.Context, cl *client.Client) error {
 	streamCtx, stopStream := context.WithCancel(ctx)
 	defer stopStream()
 	st, err := cl.Events(streamCtx, client.EventsOptions{
-		Topics: []string{client.TopicJobState, client.TopicSweepCell,
+		Topics: []string{client.TopicJobState, client.TopicJobLease, client.TopicSweepCell,
 			client.TopicInferFlush, client.TopicHTTPRequest},
 		Buffer: 2048,
 	})
@@ -56,6 +57,7 @@ func smokeEvents(ctx context.Context, cl *client.Client) error {
 
 	var mu sync.Mutex
 	terminal := make(map[string]string)
+	claims := make(map[string]int) // job id -> claimed shard leases
 	var sweepCells, inferFlushes, httpEvents int
 	streamErr := make(chan error, 1)
 	go func() {
@@ -76,6 +78,10 @@ func smokeEvents(ctx context.Context, cl *client.Client) error {
 				switch p.State {
 				case "done", "failed", "cancelled":
 					terminal[p.ID] = p.State
+				}
+			case *client.JobLeaseEvent:
+				if p.Action == "claimed" {
+					claims[p.JobID]++
 				}
 			case *client.SweepCellEvent:
 				sweepCells++
@@ -142,12 +148,16 @@ func smokeEvents(ctx context.Context, cl *client.Client) error {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
+	// A job's claims precede its terminal state on the one ordered stream.
 	for _, id := range jobIDs {
 		mu.Lock()
-		state := terminal[id]
+		state, claimed := terminal[id], claims[id]
 		mu.Unlock()
 		if state != "done" {
 			return fmt.Errorf("events-smoke: job %s terminal state %q, want done", id, state)
+		}
+		if claimed == 0 {
+			return fmt.Errorf("events-smoke: job %s finished without a claimed lease on job.lease", id)
 		}
 	}
 	mu.Lock()
@@ -196,7 +206,7 @@ func smokeEvents(ctx context.Context, cl *client.Client) error {
 		time.Sleep(200 * time.Millisecond)
 	}
 
-	fmt.Printf("events-smoke: %d jobs terminal on job.state, %d sweep.cell, %d infer.flush, %d http.request events; histogram counts match (%d infer retries)\n",
+	fmt.Printf("events-smoke: %d jobs claimed on job.lease and terminal on job.state, %d sweep.cell, %d infer.flush, %d http.request events; histogram counts match (%d infer retries)\n",
 		jobCount, cells, flushes, https, retries.Load())
 	return nil
 }

@@ -17,10 +17,10 @@
 // start-gated burst ~4x the pool's absorb capacity and requires every
 // rejection to be a clean 429. With -events it also smokes the
 // observability surface: subscribe to the /v2/events SSE firehose, drive a
-// known traffic mix, assert every submitted job's terminal state arrives as
-// a job.state event and that the /metrics request-phase histogram counts
-// move by exactly the requests this client sent. `make load-smoke` wires it
-// against a freshly started local mbsd.
+// known traffic mix, assert every submitted job has a claimed shard lease on
+// job.lease and its terminal state on job.state, and that the /metrics
+// request-phase histogram counts move by exactly the requests this client
+// sent. `make load-smoke` wires it against a freshly started local mbsd.
 //
 // The -submit-sweep / -wait-job pair is the durability crash smoke
 // (`make crash-smoke`): submit a sweep against a journal-backed server and
@@ -70,7 +70,7 @@ func main() {
 	inferOverload := flag.Bool("infer-overload", true,
 		"after the infer smoke, burst ~4x the server's queue+batch capacity and require every rejection to be a clean 429")
 	events := flag.Bool("events", false,
-		"smoke the observability surface: subscribe to /v2/events, drive jobs + runs + inference, assert terminal job.state events arrive and /metrics histogram counts match the client-side request counts")
+		"smoke the observability surface: subscribe to /v2/events, drive jobs + runs + inference, assert claimed job.lease and terminal job.state events arrive and /metrics histogram counts match the client-side request counts")
 	submitSweep := flag.Bool("submit-sweep", false,
 		"crash-smoke half 1: submit a sweep job and print only its id, without waiting — the harness then kills the server mid-run")
 	waitJob := flag.String("wait-job", "",

@@ -1,9 +1,10 @@
-// Package api defines the wire types shared by the mbsd HTTP surface: the
-// structured error body every endpoint returns, and the job status / stream
-// event shapes of the v2 asynchronous API. internal/service and
-// internal/jobs both render these; pkg/client mirrors them for consumers
-// outside the module, so this package is the single source of truth for the
-// field names on the wire.
+// Package api is the single declaration of every type mbsd puts on the
+// wire: the structured error body every endpoint returns, the scenario
+// listing and /v1/run request, the v2 job status and stream events, the
+// inference request and response, and the /v1/stats body. The producers
+// (internal/service, internal/jobs, internal/infer, internal/experiments)
+// fill these types directly, and pkg/client aliases them, so a field
+// renamed here changes the server and the client together.
 package api
 
 import (
@@ -77,6 +78,35 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = report.WriteJSON(w, v)
 }
 
+// ScenarioParam describes one typed scenario parameter. Enum, when
+// non-empty, lists the accepted values (matched case-insensitively by the
+// run functions); Type is "string", "int" or "list" (comma-separated
+// values).
+type ScenarioParam struct {
+	Name        string   `json:"name"`
+	Type        string   `json:"type"`
+	Default     string   `json:"default"`
+	Description string   `json:"description"`
+	Enum        []string `json:"enum,omitempty"`
+}
+
+// ScenarioInfo is one registry entry of GET /v1/scenarios, also printed by
+// `mbsim -list`.
+type ScenarioInfo struct {
+	Name        string          `json:"name"`
+	Description string          `json:"description"`
+	Params      []ScenarioParam `json:"params,omitempty"`
+}
+
+// RunRequest is the POST /v1/run body.
+type RunRequest struct {
+	Scenario string            `json:"scenario"`
+	Params   map[string]string `json:"params,omitempty"`
+	// Format selects the response rendering: "json" (default; the
+	// mbsim -json bytes) or "text" (the paper-style tables).
+	Format string `json:"format,omitempty"`
+}
+
 // InferRequest is the POST /v2/infer body: one or more flattened input
 // samples for the served model. Each input is batched independently, so
 // concurrent clients' samples coalesce into shared forward passes.
@@ -114,6 +144,13 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
+// JobRequest is the POST /v2/jobs body: a scenario run to execute
+// asynchronously.
+type JobRequest struct {
+	Scenario string            `json:"scenario"`
+	Params   map[string]string `json:"params,omitempty"`
+}
+
 // JobStatus is the GET /v2/jobs/{id} body (and the job payload of stream
 // status/done events, where Result is omitted).
 type JobStatus struct {
@@ -131,11 +168,11 @@ type JobStatus struct {
 	// Attempts counts shard claims including lease-loss retries; Requeues
 	// counts shards returned to the queue after a lost or expired lease.
 	// Both stay at their field-absent zero on the happy path.
-	Attempts    int       `json:"attempts,omitempty"`
-	Requeues    int       `json:"requeues,omitempty"`
-	SubmittedAt time.Time `json:"submitted_at"`
-	StartedAt      *time.Time        `json:"started_at,omitempty"`
-	FinishedAt     *time.Time        `json:"finished_at,omitempty"`
+	Attempts    int        `json:"attempts,omitempty"`
+	Requeues    int        `json:"requeues,omitempty"`
+	SubmittedAt time.Time  `json:"submitted_at"`
+	StartedAt   *time.Time `json:"started_at,omitempty"`
+	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	// Result is the scenario's rendered JSON — the same bytes POST /v1/run
 	// returns for the same request — present once State == done.
 	Result json.RawMessage `json:"result,omitempty"`
@@ -149,8 +186,10 @@ type Event struct {
 	// Index is the cell's position in the submitted grid. No omitempty:
 	// the first cell of every grid is index 0 and must still carry the
 	// field, as the documented event shape promises.
-	Index int        `json:"index"`
-	Cell  string     `json:"cell,omitempty"` // cell: human-readable cell label
-	Row   any        `json:"row,omitempty"`  // cell: the flattened result row
-	Job   *JobStatus `json:"job,omitempty"`  // status/done: the job (without result)
+	Index int    `json:"index"`
+	Cell  string `json:"cell,omitempty"` // cell: human-readable cell label
+	// Row is a cell event's flattened result row, marshalled once when the
+	// cell completes.
+	Row json.RawMessage `json:"row,omitempty"`
+	Job *JobStatus      `json:"job,omitempty"` // status/done: the job (without result)
 }

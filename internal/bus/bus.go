@@ -28,6 +28,7 @@
 package bus
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -74,11 +75,12 @@ func Valid(topic string) bool {
 }
 
 // SweepCell is the payload of TopicSweepCell: one completed grid cell, with
-// its flattened result row (the same shape the v2 job stream delivers).
+// its flattened result row marshalled (the same bytes the v2 job stream
+// delivers).
 type SweepCell struct {
-	Index int    `json:"index"`
-	Cell  string `json:"cell"`
-	Row   any    `json:"row,omitempty"`
+	Index int             `json:"index"`
+	Cell  string          `json:"cell"`
+	Row   json.RawMessage `json:"row,omitempty"`
 }
 
 // CacheEvent is the payload of TopicSweepCache.

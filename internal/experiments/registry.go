@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/models"
@@ -26,17 +27,6 @@ func (e *ParamError) Error() string { return e.Msg }
 // paramErrf builds a ParamError for the named scenario.
 func paramErrf(scenario, format string, args ...any) *ParamError {
 	return &ParamError{Scenario: scenario, Msg: fmt.Sprintf(format, args...)}
-}
-
-// ParamSpec describes one typed scenario parameter. Enum, when non-empty,
-// lists the accepted values (matched case-insensitively by the run
-// functions); Type is "string", "int" or "list" (comma-separated values).
-type ParamSpec struct {
-	Name        string   `json:"name"`
-	Type        string   `json:"type"`
-	Default     string   `json:"default"`
-	Description string   `json:"description"`
-	Enum        []string `json:"enum,omitempty"`
 }
 
 // Params carries scenario arguments as name -> value strings; Scenario.Run
@@ -72,7 +62,7 @@ func (p Params) List(name string) []string {
 type Scenario struct {
 	Name        string
 	Description string
-	Params      []ParamSpec
+	Params      []api.ScenarioParam
 
 	// bareJSON scenarios marshal their data unwrapped ("all" is already a
 	// section map; "single" keeps its historical three-key shape).
@@ -108,17 +98,9 @@ func (s *Scenario) JSONValue(data any) any {
 	return map[string]any{s.Name: data}
 }
 
-// Info is the serializable registry entry served by /v1/scenarios and
-// printed by `mbsim -list`.
-type Info struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description"`
-	Params      []ParamSpec `json:"params,omitempty"`
-}
-
 // Info returns the scenario's serializable description.
-func (s *Scenario) Info() Info {
-	return Info{Name: s.Name, Description: s.Description, Params: s.Params}
+func (s *Scenario) Info() api.ScenarioInfo {
+	return api.ScenarioInfo{Name: s.Name, Description: s.Description, Params: s.Params}
 }
 
 // resolve applies defaults and rejects unknown names, non-integer values
@@ -170,7 +152,7 @@ func inEnum(enum []string, v string) bool {
 	return false
 }
 
-func (s *Scenario) spec(name string) *ParamSpec {
+func (s *Scenario) spec(name string) *api.ScenarioParam {
 	for i := range s.Params {
 		if s.Params[i].Name == name {
 			return &s.Params[i]
@@ -217,8 +199,8 @@ func ConfigByName(name string) (core.Config, error) {
 
 // cellParams are the fixed-value specs shared by the single and sweep
 // scenarios; they mirror the mbsim flags they replaced.
-func cellParams(defaultNetwork string) []ParamSpec {
-	return []ParamSpec{
+func cellParams(defaultNetwork string) []api.ScenarioParam {
+	return []api.ScenarioParam{
 		{Name: "network", Type: "string", Default: defaultNetwork,
 			Description: "network to simulate", Enum: models.Names()},
 		{Name: "config", Type: "string", Default: "MBS2",
@@ -286,7 +268,7 @@ func init() {
 		{
 			Name:        "fig5",
 			Description: "concrete MBS1/MBS2 schedules for one network (Fig. 5)",
-			Params: []ParamSpec{{Name: "network", Type: "string", Default: "resnet50",
+			Params: []api.ScenarioParam{{Name: "network", Type: "string", Default: "resnet50",
 				Description: "network to schedule", Enum: models.Names()}},
 			run: func(ctx context.Context, r Runner, p Params, w io.Writer) (any, error) {
 				scheds, err := r.Fig5(ctx, w, p["network"])
@@ -305,7 +287,7 @@ func init() {
 		{
 			Name:        "fig10",
 			Description: "per-step time, energy and DRAM traffic across configurations (Fig. 10)",
-			Params: []ParamSpec{{Name: "networks", Type: "list", Default: "",
+			Params: []api.ScenarioParam{{Name: "networks", Type: "list", Default: "",
 				Description: "comma-separated networks (empty = all six)"}},
 			run: func(ctx context.Context, r Runner, p Params, w io.Writer) (any, error) {
 				return r.Fig10(ctx, w, p.List("networks")...)
@@ -397,7 +379,7 @@ func init() {
 		{
 			Name:        "sweep",
 			Description: "custom grid over any subset of the experiment axes",
-			Params: append([]ParamSpec{{Name: "axes", Type: "list", Default: "buffer",
+			Params: append([]api.ScenarioParam{{Name: "axes", Type: "list", Default: "buffer",
 				Description: "axes to sweep", Enum: []string{"network", "config", "memory", "batch", "buffer"}}},
 				cellParams("resnet50")...),
 			run: func(ctx context.Context, r Runner, p Params, w io.Writer) (any, error) {
@@ -503,8 +485,8 @@ func Names() []string {
 
 // Infos returns the serializable registry listing (sorted copy not needed —
 // registry order is already deterministic).
-func Infos() []Info {
-	infos := make([]Info, len(registry))
+func Infos() []api.ScenarioInfo {
+	infos := make([]api.ScenarioInfo, len(registry))
 	for i, s := range registry {
 		infos[i] = s.Info()
 	}

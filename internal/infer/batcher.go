@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/tensor"
 )
 
@@ -482,50 +483,9 @@ func (b *Batcher) drain() {
 	}
 }
 
-// ReplicaStats is one pool member's share of the served work.
-type ReplicaStats struct {
-	Batches int64 `json:"batches"`
-	Items   int64 `json:"items"`
-}
-
-// Stats is the batcher's counter snapshot (the infer section of /v1/stats).
-type Stats struct {
-	Model    string `json:"model"`
-	MaxBatch int    `json:"max_batch"`
-	MaxDelay string `json:"max_delay"`
-	MinDelay string `json:"min_delay"`
-	QueueCap int    `json:"queue_cap"`
-	Replicas int    `json:"replicas"`
-	// ShedEnabled reports whether admission control is on (full queue →
-	// 429) rather than blocking senders.
-	ShedEnabled bool `json:"shed_enabled"`
-	// PackedKB is one replica's packed fp16 weight footprint; the pool holds
-	// Replicas independent copies.
-	PackedKB float64 `json:"packed_weight_kb"`
-
-	Requests        int64 `json:"requests"`
-	Items           int64 `json:"items"`
-	Batches         int64 `json:"batches"`
-	FullFlushes     int64 `json:"full_flushes"`
-	DeadlineFlushes int64 `json:"deadline_flushes"`
-	Cancelled       int64 `json:"cancelled"`
-	// Shed counts requests rejected with ErrOverloaded at admission.
-	Shed int64 `json:"shed"`
-	// ShortDeadlines counts batches that started with an adaptive (below
-	// MaxDelay) coalesce deadline because the queue was non-empty.
-	ShortDeadlines int64 `json:"short_deadlines"`
-	QueueDepth     int   `json:"queue_depth"`
-	// MeanBatchSize is items/batches — the coalescing headline: >1 means
-	// concurrent requests actually shared forward passes.
-	MeanBatchSize float64 `json:"mean_batch_size"`
-	// PerReplica is each pool member's share, in replica index order; the
-	// load smoke asserts the shares stay within a constant factor of fair.
-	PerReplica []ReplicaStats `json:"per_replica"`
-}
-
-// Stats snapshots the counters.
-func (b *Batcher) Stats() Stats {
-	st := Stats{
+// Stats snapshots the counters (the infer section of /v1/stats).
+func (b *Batcher) Stats() api.InferStats {
+	st := api.InferStats{
 		Model:           b.spec.Name,
 		MaxBatch:        b.cfg.MaxBatch,
 		MaxDelay:        b.cfg.MaxDelay.String(),
@@ -543,9 +503,9 @@ func (b *Batcher) Stats() Stats {
 		ShortDeadlines:  b.shortDeadlines.Load(),
 		QueueDepth:      len(b.reqs),
 	}
-	st.PerReplica = make([]ReplicaStats, len(b.replicas))
+	st.PerReplica = make([]api.ReplicaStats, len(b.replicas))
 	for i, rp := range b.replicas {
-		st.PerReplica[i] = ReplicaStats{Batches: rp.batches.Load(), Items: rp.items.Load()}
+		st.PerReplica[i] = api.ReplicaStats{Batches: rp.batches.Load(), Items: rp.items.Load()}
 	}
 	if p, ok := b.replicas[0].pred.(interface{ PackedBytes() (int64, float64) }); ok {
 		bytes, _ := p.PackedBytes()

@@ -48,7 +48,7 @@ func TestBusReceivesLifecycleTransitions(t *testing.T) {
 	m := NewManager(Config{Exec: g.exec, Bus: b})
 	t.Cleanup(m.Close)
 
-	st, err := m.Submit(Request{Scenario: "s1"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBusCancelledTransitionCarriesState(t *testing.T) {
 	m := NewManager(Config{Exec: g.exec, Bus: b})
 	t.Cleanup(m.Close)
 
-	st, err := m.Submit(Request{Scenario: "s2"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s2"})
 	if err != nil {
 		t.Fatal(err)
 	}

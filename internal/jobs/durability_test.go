@@ -60,7 +60,7 @@ func TestJournalRecoveryCompletesInterruptedJob(t *testing.T) {
 	g := newGatedExec()
 	g.gates("s")
 	m1 := NewManager(Config{Exec: g.exec, Store: j1})
-	st, err := m1.Submit(Request{Scenario: "s", Params: map[string]string{"k": "v"}})
+	st, err := m1.Submit(api.JobRequest{Scenario: "s", Params: map[string]string{"k": "v"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestJournalRecoveryCompletesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := NewManager(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			if req.Scenario != "s" || req.Params["k"] != "v" {
 				return nil, fmt.Errorf("recovered request drifted: %+v", req)
 			}
@@ -107,7 +107,7 @@ func TestJournalRecoveryCompletesInterruptedJob(t *testing.T) {
 		t.Fatalf("recovered job = %+v, want done with result", fin)
 	}
 	// The recovered sequence counter must not collide with new submissions.
-	st2, err := m2.Submit(Request{Scenario: "s"})
+	st2, err := m2.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +125,12 @@ func TestJournalRecoveryKeepsTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
-	exec := func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+	exec := func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 		calls.Add(1)
 		return []byte(`{"n":1}`), nil
 	}
 	m1 := NewManager(Config{Exec: exec, Store: j1})
-	st, err := m1.Submit(Request{Scenario: "s"})
+	st, err := m1.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestHeartbeatFailureLosesLeaseAndRetries(t *testing.T) {
 		store.Rule{Op: store.OpHeartbeat, N: 1, Err: errors.New("injected")})
 	var calls atomic.Int32
 	m := NewManager(fastLease(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			if calls.Add(1) == 1 {
 				<-ctx.Done() // first attempt hangs until the lost lease aborts it
 				return nil, ctx.Err()
@@ -186,7 +186,7 @@ func TestHeartbeatFailureLosesLeaseAndRetries(t *testing.T) {
 	}))
 	t.Cleanup(m.Close)
 
-	st, err := m.Submit(Request{Scenario: "s"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMaxAttemptsFailsJob(t *testing.T) {
 	f := store.NewFault(store.NewMemory(),
 		store.Rule{Op: store.OpHeartbeat, Err: errors.New("injected")}) // N=0: every heartbeat
 	m := NewManager(fastLease(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
@@ -234,7 +234,7 @@ func TestMaxAttemptsFailsJob(t *testing.T) {
 		MaxAttempts: 2,
 	}))
 	t.Cleanup(m.Close)
-	st, err := m.Submit(Request{Scenario: "s"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +253,13 @@ func TestSubmitFaultMapsToUnavailable(t *testing.T) {
 	f := store.NewFault(store.NewMemory(),
 		store.Rule{Op: store.OpSubmit, N: 1, Err: errors.New("disk full")})
 	m := NewManager(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			return []byte("{}"), nil
 		},
 		Store: f,
 	})
 	t.Cleanup(m.Close)
-	_, err := m.Submit(Request{Scenario: "s"})
+	_, err := m.Submit(api.JobRequest{Scenario: "s"})
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Code != api.CodeUnavailable {
 		t.Fatalf("submit over failing store: %v, want 503 unavailable", err)
@@ -268,7 +268,7 @@ func TestSubmitFaultMapsToUnavailable(t *testing.T) {
 		t.Fatalf("failed submit leaked state: %+v", st)
 	}
 	// The store recovered (rule fired once): the next submission works.
-	st, err := m.Submit(Request{Scenario: "s"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,25 +280,25 @@ func TestSubmitFaultMapsToUnavailable(t *testing.T) {
 // assembled result preserves shard order regardless of completion order.
 func TestShardedJobAssemblesInOrder(t *testing.T) {
 	m := NewManager(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			return nil, errors.New("whole-job exec must not run for a planned job")
 		},
-		Plan: func(req Request) []store.Span {
+		Plan: func(req api.JobRequest) []store.Span {
 			return []store.Span{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}
 		},
-		ExecShard: func(ctx context.Context, req Request, span store.Span, emit func(int, string, any)) ([]byte, error) {
+		ExecShard: func(ctx context.Context, req api.JobRequest, span store.Span, emit func(int, string, any)) ([]byte, error) {
 			for i := span.Lo; i < span.Hi; i++ {
 				emit(i, fmt.Sprintf("cell-%d", i), nil)
 			}
 			return []byte(fmt.Sprintf("[%d,%d]", span.Lo, span.Hi)), nil
 		},
-		Assemble: func(req Request, parts [][]byte) ([]byte, error) {
+		Assemble: func(req api.JobRequest, parts [][]byte) ([]byte, error) {
 			return []byte(string(parts[0]) + "+" + string(parts[1])), nil
 		},
 		Workers: 2,
 	})
 	t.Cleanup(m.Close)
-	st, err := m.Submit(Request{Scenario: "s"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestEvictNeverDropsRunningJobs(t *testing.T) {
 	g := newGatedExec()
 	release, _ := g.gates("live")
 	var calls atomic.Int32
-	exec := func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+	exec := func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 		if req.Scenario == "live" {
 			return g.exec(ctx, req, emit)
 		}
@@ -333,17 +333,17 @@ func TestEvictNeverDropsRunningJobs(t *testing.T) {
 	m := NewManager(Config{Exec: exec, MaxRetained: 1, Workers: 2})
 	t.Cleanup(m.Close)
 
-	live, err := m.Submit(Request{Scenario: "live"})
+	live, err := m.Submit(api.JobRequest{Scenario: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-g.started
-	older, err := m.Submit(Request{Scenario: "t1"})
+	older, err := m.Submit(api.JobRequest{Scenario: "t1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, older.ID)
-	newer, err := m.Submit(Request{Scenario: "t2"})
+	newer, err := m.Submit(api.JobRequest{Scenario: "t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestDoubleCancelIsIdempotent(t *testing.T) {
 	g.gates("s")
 	m := NewManager(Config{Exec: g.exec})
 	t.Cleanup(m.Close)
-	st, err := m.Submit(Request{Scenario: "s"})
+	st, err := m.Submit(api.JobRequest{Scenario: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestDoubleCancelIsIdempotent(t *testing.T) {
 
 	// Cancelling a done job leaves it done — no cancelled overwrite.
 	dRelease, _ := g.gates("d")
-	done, err := m.Submit(Request{Scenario: "d"})
+	done, err := m.Submit(api.JobRequest{Scenario: "d"})
 	if err != nil {
 		t.Fatal(err)
 	}

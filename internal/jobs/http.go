@@ -29,7 +29,7 @@ func (m *Manager) Routes(mux *http.ServeMux) {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req Request
+	var req api.JobRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		api.Write(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "",
 			"bad request body: %s", err))

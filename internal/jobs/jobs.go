@@ -24,6 +24,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -38,22 +39,16 @@ import (
 	"repro/internal/jobs/store"
 )
 
-// Request names a scenario run to execute asynchronously.
-type Request struct {
-	Scenario string            `json:"scenario"`
-	Params   map[string]string `json:"params,omitempty"`
-}
-
 // Exec runs one whole job. It must honour ctx promptly — cancellation is how
 // DELETE frees the job's slot — and call emit for each completed sweep cell
 // (emit is safe to call from multiple goroutines). The returned bytes are
 // the job's rendered JSON result.
-type Exec func(ctx context.Context, req Request, emit func(index int, cell string, row any)) ([]byte, error)
+type Exec func(ctx context.Context, req api.JobRequest, emit func(index int, cell string, row any)) ([]byte, error)
 
 // ShardExec runs one shard of a sharded job — the cells in span — emitting
 // each completed cell at its job-global index. The returned bytes are the
 // shard's partial result, in whatever encoding the Assemble hook expects.
-type ShardExec func(ctx context.Context, req Request, span store.Span, emit func(index int, cell string, row any)) ([]byte, error)
+type ShardExec func(ctx context.Context, req api.JobRequest, span store.Span, emit func(index int, cell string, row any)) ([]byte, error)
 
 // Config assembles a Manager.
 type Config struct {
@@ -62,7 +57,7 @@ type Config struct {
 	// Validate vets a request at submit time so bad submissions fail the
 	// POST synchronously instead of producing a failed job. Return an
 	// *api.Error for a mapped HTTP status. Optional.
-	Validate func(Request) error
+	Validate func(api.JobRequest) error
 	// Slots, when non-nil, is the shared execution-slot semaphore: a worker
 	// holds one slot for the duration of each shard it executes. Nil means
 	// unbounded execution.
@@ -86,13 +81,13 @@ type Config struct {
 	// Plan splits a request into shard spans. Nil (or a nil/empty return)
 	// means one whole-job shard executed by Exec. A non-nil Plan requires
 	// ExecShard and Assemble.
-	Plan func(Request) []store.Span
+	Plan func(api.JobRequest) []store.Span
 	// ExecShard executes one proper shard of a planned job.
 	ExecShard ShardExec
 	// Assemble merges a sharded job's partial results (in shard order) into
 	// the final result bytes — which must equal what Exec would have
 	// returned for the whole job.
-	Assemble func(req Request, parts [][]byte) ([]byte, error)
+	Assemble func(req api.JobRequest, parts [][]byte) ([]byte, error)
 
 	// Workers sizes the shard-claiming worker pool. 0 selects cap(Slots)
 	// when Slots is non-nil, else GOMAXPROCS.
@@ -281,7 +276,7 @@ func (m *Manager) recover() {
 		ctx, cancel := context.WithCancel(m.base)
 		j := &job{
 			id:         sj.ID,
-			req:        Request{Scenario: sj.Scenario, Params: sj.Params},
+			req:        api.JobRequest{Scenario: sj.Scenario, Params: sj.Params},
 			spans:      spans,
 			ctx:        ctx,
 			cancel:     cancel,
@@ -385,7 +380,7 @@ func (m *Manager) signalWork() {
 // for changes without polling.
 type job struct {
 	id     string
-	req    Request
+	req    api.JobRequest
 	spans  []store.Span
 	ctx    context.Context // child of the manager's base context
 	cancel context.CancelFunc
@@ -462,25 +457,30 @@ func (j *job) snapshotFrom(from int) ([]api.Event, api.JobStatus, <-chan struct{
 	return events, j.statusLocked(false), j.update
 }
 
-// emit records one completed sweep cell. Late emits from an executor that
-// has not yet observed its cancelled context are dropped once the job is
-// terminal, and a cell index already recorded is dropped too — a shard
-// re-executed after a lost lease re-emits its cells, and the stream must
-// not duplicate them.
+// emit records one completed sweep cell, marshalling its row once so every
+// stream replays the same bytes. Late emits from an executor that has not
+// yet observed its cancelled context are dropped once the job is terminal,
+// and a cell index already recorded is dropped too — a shard re-executed
+// after a lost lease re-emits its cells, and the stream must not duplicate
+// them. A nil row, or one that does not marshal, is streamed without one.
 func (j *job) emit(index int, cell string, row any) {
+	var raw json.RawMessage
+	if row != nil {
+		raw, _ = json.Marshal(row)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || j.seen[index] {
 		return
 	}
 	j.seen[index] = true
-	j.cells = append(j.cells, api.Event{Type: "cell", Index: index, Cell: cell, Row: row})
+	j.cells = append(j.cells, api.Event{Type: "cell", Index: index, Cell: cell, Row: raw})
 	j.broadcastLocked()
 }
 
 // Submit validates and enqueues a job, returning its initial status. The
 // error, if any, is an *api.Error carrying the HTTP status to report.
-func (m *Manager) Submit(req Request) (api.JobStatus, error) {
+func (m *Manager) Submit(req api.JobRequest) (api.JobStatus, error) {
 	if m.cfg.Validate != nil {
 		if err := m.cfg.Validate(req); err != nil {
 			return api.JobStatus{}, err
@@ -666,50 +666,9 @@ func (m *Manager) List() []api.JobStatus {
 	return out
 }
 
-// Stats is the jobs section of /v1/stats and /v2/stats.
-type Stats struct {
-	// Submitted counts every job ever accepted.
-	Submitted int64 `json:"submitted"`
-	// QueueDepth is the number of jobs currently queued (no shard of
-	// theirs is executing yet).
-	QueueDepth int64 `json:"queue_depth"`
-	// Cancellations counts jobs that reached the cancelled state.
-	Cancellations int64 `json:"cancellations"`
-	// ByState counts the retained jobs per lifecycle state.
-	ByState map[api.JobState]int `json:"by_state"`
-	// Transitions counts lifecycle transitions ever applied per target
-	// state; unlike ByState it is monotone (eviction never decrements it).
-	Transitions map[api.JobState]int64 `json:"transitions"`
-	// Retained is the number of jobs currently held for status queries.
-	Retained int `json:"retained"`
-
-	// Store names the state backend ("memory", "journal", ...).
-	Store string `json:"store"`
-	// Workers is the shard-claiming pool size.
-	Workers int `json:"workers"`
-	// ShardsClaimed counts shard claims ever granted to this process,
-	// including retries after a lost lease.
-	ShardsClaimed int64 `json:"shards_claimed"`
-	// LeasesExpired counts claims the supervisor reaped after their lease
-	// lapsed without a heartbeat.
-	LeasesExpired int64 `json:"leases_expired"`
-	// LeasesLost counts claims a worker abandoned mid-run because its
-	// heartbeat was rejected (or the store failed it).
-	LeasesLost int64 `json:"leases_lost"`
-	// Requeues counts shards returned to the queue for another attempt.
-	Requeues int64 `json:"requeues"`
-	// Recovered counts non-terminal jobs re-queued from the store at boot.
-	Recovered int64 `json:"recovered"`
-	// StoreErrors counts store operations that failed (fault injection,
-	// disk trouble); the orthogonal lease machinery retries the work.
-	StoreErrors int64 `json:"store_errors"`
-	// ActiveLeases is the number of shards this process is executing now.
-	ActiveLeases int64 `json:"active_leases"`
-}
-
 // Stats snapshots the manager's counters.
-func (m *Manager) Stats() Stats {
-	st := Stats{
+func (m *Manager) Stats() api.JobStats {
+	st := api.JobStats{
 		Submitted:     m.submitted.Load(),
 		Cancellations: m.cancellations.Load(),
 		ByState:       make(map[api.JobState]int),

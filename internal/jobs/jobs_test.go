@@ -45,7 +45,7 @@ func (g *gatedExec) gates(scenario string) (release chan error, emit chan int) {
 	return release, emit
 }
 
-func (g *gatedExec) exec(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+func (g *gatedExec) exec(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 	g.mu.Lock()
 	release := g.release[req.Scenario]
 	cells := g.emits[req.Scenario]
@@ -298,10 +298,10 @@ func TestFailedJob(t *testing.T) {
 // synchronously with the hook's mapped status, creating no job.
 func TestValidateRejectsAtSubmit(t *testing.T) {
 	m := NewManager(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			return nil, nil
 		},
-		Validate: func(req Request) error {
+		Validate: func(req api.JobRequest) error {
 			return api.Errorf(http.StatusUnprocessableEntity, api.CodeInvalidParams,
 				req.Scenario, "bad params")
 		},
@@ -342,7 +342,7 @@ func TestCloseCancelsLiveJobs(t *testing.T) {
 	if !ok || st.State != api.JobCancelled {
 		t.Errorf("after Close: %+v, want cancelled", st)
 	}
-	if _, err := m.Submit(Request{Scenario: "s"}); err == nil {
+	if _, err := m.Submit(api.JobRequest{Scenario: "s"}); err == nil {
 		t.Error("Submit after Close succeeded")
 	}
 }
@@ -352,7 +352,7 @@ func TestCloseCancelsLiveJobs(t *testing.T) {
 func TestRetention(t *testing.T) {
 	g := newGatedExec()
 	m := NewManager(Config{
-		Exec: func(ctx context.Context, req Request, emit func(int, string, any)) ([]byte, error) {
+		Exec: func(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 			return []byte("{}"), nil
 		},
 		MaxRetained: 3,
@@ -361,7 +361,7 @@ func TestRetention(t *testing.T) {
 	_ = g
 	var last api.JobStatus
 	for i := 0; i < 6; i++ {
-		st, err := m.Submit(Request{Scenario: fmt.Sprintf("s%d", i)})
+		st, err := m.Submit(api.JobRequest{Scenario: fmt.Sprintf("s%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestRetentionSparesResultsUnderLiveBurst(t *testing.T) {
 	m := NewManager(Config{Exec: g.exec, Slots: sem, MaxRetained: 2, MaxPending: 100})
 	t.Cleanup(m.Close)
 
-	first, err := m.Submit(Request{Scenario: "first"})
+	first, err := m.Submit(api.JobRequest{Scenario: "first"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestRetentionSparesResultsUnderLiveBurst(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		name := fmt.Sprintf("live-%d", i)
 		g.gates(name)
-		if _, err := m.Submit(Request{Scenario: name}); err != nil {
+		if _, err := m.Submit(api.JobRequest{Scenario: name}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/bus"
 	"repro/internal/infer"
-	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
@@ -159,37 +158,37 @@ func (s *Server) registerCollectors() {
 		func() float64 { return float64(s.jobs.Stats().QueueDepth) })
 
 	// Durable execution: shard-lease and recovery accounting.
-	jobStat := func(pick func(jobs.Stats) int64) func() float64 {
+	jobStat := func(pick func(api.JobStats) int64) func() float64 {
 		return func() float64 { return float64(pick(s.jobs.Stats())) }
 	}
 	r.CounterFunc("jobs_shards_claimed_total", "Shard leases granted to this process, including retries.",
-		jobStat(func(st jobs.Stats) int64 { return st.ShardsClaimed }))
+		jobStat(func(st api.JobStats) int64 { return st.ShardsClaimed }))
 	r.CounterFunc("jobs_leases_expired_total", "Shard leases reaped after lapsing without a heartbeat.",
-		jobStat(func(st jobs.Stats) int64 { return st.LeasesExpired }))
+		jobStat(func(st api.JobStats) int64 { return st.LeasesExpired }))
 	r.CounterFunc("jobs_leases_lost_total", "Shard leases abandoned mid-run after a rejected heartbeat.",
-		jobStat(func(st jobs.Stats) int64 { return st.LeasesLost }))
+		jobStat(func(st api.JobStats) int64 { return st.LeasesLost }))
 	r.CounterFunc("jobs_requeues_total", "Shards returned to the queue for another attempt.",
-		jobStat(func(st jobs.Stats) int64 { return st.Requeues }))
+		jobStat(func(st api.JobStats) int64 { return st.Requeues }))
 	r.CounterFunc("jobs_recovered_total", "Non-terminal jobs re-queued from the store at startup.",
-		jobStat(func(st jobs.Stats) int64 { return st.Recovered }))
+		jobStat(func(st api.JobStats) int64 { return st.Recovered }))
 	r.CounterFunc("jobs_store_errors_total", "Job store operations that failed.",
-		jobStat(func(st jobs.Stats) int64 { return st.StoreErrors }))
+		jobStat(func(st api.JobStats) int64 { return st.StoreErrors }))
 	r.GaugeFunc("jobs_active_leases", "Shards this process is executing right now.",
-		jobStat(func(st jobs.Stats) int64 { return st.ActiveLeases }))
+		jobStat(func(st api.JobStats) int64 { return st.ActiveLeases }))
 
 	// Inference batcher counters (real distributions come from OnFlush into
 	// infer_batch_size / infer_queue_wait_seconds).
-	inferStat := func(pick func(infer.Stats) int64) func() float64 {
+	inferStat := func(pick func(api.InferStats) int64) func() float64 {
 		return func() float64 { return float64(pick(s.batcher.Stats())) }
 	}
 	r.CounterFunc("infer_requests_total", "Inference requests admitted to the queue.",
-		inferStat(func(st infer.Stats) int64 { return st.Requests }))
+		inferStat(func(st api.InferStats) int64 { return st.Requests }))
 	r.CounterFunc("infer_batches_total", "Inference batches served.",
-		inferStat(func(st infer.Stats) int64 { return st.Batches }))
+		inferStat(func(st api.InferStats) int64 { return st.Batches }))
 	r.CounterFunc("infer_shed_total", "Inference requests rejected by admission control (429).",
-		inferStat(func(st infer.Stats) int64 { return st.Shed }))
+		inferStat(func(st api.InferStats) int64 { return st.Shed }))
 	r.GaugeFunc("infer_queue_depth", "Inference requests currently queued.",
-		inferStat(func(st infer.Stats) int64 { return int64(st.QueueDepth) }))
+		inferStat(func(st api.InferStats) int64 { return int64(st.QueueDepth) }))
 
 	// Service-level serving counters and the event bus's own accounting.
 	r.CounterFunc("runs_served_total", "Synchronous /v1/run responses served.",

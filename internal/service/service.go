@@ -137,8 +137,8 @@ type Server struct {
 	queueWait   atomic.Int64 // v1 requests waiting for a slot
 	served      atomic.Int64
 	failed      atomic.Int64
-	cancelled   atomic.Int64 // v1 runs abandoned by their client
-	mbs         MBSPlanStats // static: planned once at startup
+	cancelled   atomic.Int64     // v1 runs abandoned by their client
+	mbs         api.MBSPlanStats // static: planned once at startup
 	obs         *observability
 }
 
@@ -222,7 +222,7 @@ func New(cfg Config) *Server {
 // only on the model shape, sub-batch and budget — so it is computed once at
 // startup. An unsatisfiable budget (a single layer over it) is a deployment
 // misconfiguration and panics, like an unknown inference model.
-func planMBSStats(budget int64) MBSPlanStats {
+func planMBSStats(budget int64) api.MBSPlanStats {
 	fc := experiments.DefaultFig6Config()
 	m := nn.BuildSmallCNN(rand.New(rand.NewSource(fc.Seed)),
 		fc.Data.Channels, fc.Data.Size, fc.Data.Classes, nn.NormGroup, 8)
@@ -232,7 +232,7 @@ func planMBSStats(budget int64) MBSPlanStats {
 	if err != nil {
 		panic(fmt.Sprintf("service: mbs cache budget: %v", err))
 	}
-	return MBSPlanStats{
+	return api.MBSPlanStats{
 		Groups:        len(plan.Groups),
 		SubBatch:      plan.SubBatch,
 		ArenaBytes:    plan.PeakArenaBytes,
@@ -298,7 +298,7 @@ func (s *Server) Handler() http.Handler {
 
 // validateRequest vets a v2 submission synchronously: unknown scenarios are
 // 404s and invalid params 422s at POST time, never failed jobs.
-func validateRequest(req jobs.Request) error {
+func validateRequest(req api.JobRequest) error {
 	sc, ok := experiments.Lookup(req.Scenario)
 	if !ok {
 		return unknownScenario(req.Scenario)
@@ -314,7 +314,7 @@ func validateRequest(req jobs.Request) error {
 // each completed sweep cell to the job's stream while the grid is still
 // running; the returned bytes are exactly what POST /v1/run would return
 // for the same scenario and params.
-func (s *Server) execJob(ctx context.Context, req jobs.Request, emit func(int, string, any)) ([]byte, error) {
+func (s *Server) execJob(ctx context.Context, req api.JobRequest, emit func(int, string, any)) ([]byte, error) {
 	sc, ok := experiments.Lookup(req.Scenario)
 	if !ok {
 		return nil, unknownScenario(req.Scenario) // unreachable: validated at submit
@@ -338,7 +338,7 @@ func (s *Server) execJob(ctx context.Context, req jobs.Request, emit func(int, s
 // restarted process) claims separately. Non-sweep scenarios and sweeps at
 // or under one shard's worth stay unsharded: a nil plan means one
 // whole-job shard executed by execJob, byte-identical to the v1 path.
-func (s *Server) planJob(req jobs.Request) []store.Span {
+func (s *Server) planJob(req api.JobRequest) []store.Span {
 	if s.shardCells <= 0 || req.Scenario != "sweep" {
 		return nil
 	}
@@ -362,7 +362,7 @@ func (s *Server) planJob(req jobs.Request) []store.Span {
 // re-executed after a crash or lost lease computes the same cells). Cells
 // are emitted at their job-global indices; the shard result is the rows
 // JSON the assembler concatenates.
-func (s *Server) execShard(ctx context.Context, req jobs.Request, span store.Span, emit func(int, string, any)) ([]byte, error) {
+func (s *Server) execShard(ctx context.Context, req api.JobRequest, span store.Span, emit func(int, string, any)) ([]byte, error) {
 	cells, err := experiments.SweepCells(experiments.Params(req.Params))
 	if err != nil {
 		return nil, err
@@ -385,7 +385,7 @@ func (s *Server) execShard(ctx context.Context, req jobs.Request, span store.Spa
 // job result: the typed rows concatenate and render through the same
 // JSONValue + WriteJSON pipeline as /v1/run, so a sharded sweep's result
 // is byte-identical to the unsharded one.
-func (s *Server) assembleJob(req jobs.Request, parts [][]byte) ([]byte, error) {
+func (s *Server) assembleJob(req api.JobRequest, parts [][]byte) ([]byte, error) {
 	sc, ok := experiments.Lookup(req.Scenario)
 	if !ok {
 		return nil, unknownScenario(req.Scenario)
@@ -410,85 +410,11 @@ func unknownScenario(name string) *api.Error {
 		"unknown scenario %q (GET /v1/scenarios lists the registry)", name)
 }
 
-// RunRequest is the POST /v1/run body.
-type RunRequest struct {
-	Scenario string            `json:"scenario"`
-	Params   map[string]string `json:"params,omitempty"`
-	// Format selects the response rendering: "json" (default; the
-	// mbsim -json bytes) or "text" (the paper-style tables).
-	Format string `json:"format,omitempty"`
-}
-
-// StatsResponse is the GET /v1/stats (and /v2/stats) body.
-type StatsResponse struct {
-	Build       buildinfo.Info `json:"build"`
-	Workers     int            `json:"workers"`
-	MaxInFlight int            `json:"max_in_flight"`
-	// InFlight is the number of execution slots currently held — by v1
-	// runs and v2 jobs alike, since both draw on one semaphore.
-	InFlight int64 `json:"in_flight"`
-	// QueueDepth counts work waiting for an execution slot: v1 requests
-	// plus queued v2 jobs.
-	QueueDepth int64 `json:"queue_depth"`
-	Served     int64 `json:"served"`
-	Failed     int64 `json:"failed"`
-	// Cancelled counts v1 runs abandoned by their client (while queued or
-	// mid-run); v2 job cancellations are under Jobs.Cancellations.
-	Cancelled int64       `json:"cancelled"`
-	Jobs      jobs.Stats   `json:"jobs"`
-	Cache     CacheStats   `json:"cache"`
-	Engine    EngineStats  `json:"engine"`
-	Infer     infer.Stats  `json:"infer"`
-	MBS       MBSPlanStats `json:"mbs_plan"`
-}
-
-// EngineStats reports the active tensor.Engine configuration the inference
-// and training kernels run under.
-type EngineStats struct {
-	Kernel     string `json:"kernel"`      // "gemm" or "naive"
-	Threads    int    `json:"threads"`     // resolved kernel parallelism
-	GemmConfig string `json:"gemm_config"` // KCxNC:MRxNR blocking + micro-tile
-	Autotuned  bool   `json:"autotuned"`   // config chosen by tensor.Autotune
-	SIMD       bool   `json:"simd"`        // AVX2+FMA kernels active
-}
-
-// MBSPlanStats reports the MBS executor's layer grouping for the default
-// Fig. 6 GN model under the server's cache budget (see nn.PlanMBS).
-type MBSPlanStats struct {
-	Groups        int    `json:"groups"`
-	SubBatch      int    `json:"sub_batch"`
-	ArenaBytes    int64  `json:"arena_bytes"`    // peak planned arena across groups
-	BudgetBytes   int64  `json:"budget_bytes"`   // per-group working-set cap
-	BudgetAuto    bool   `json:"budget_auto"`    // budget autodetected from CPU caches
-	BudgetSource  string `json:"budget_source,omitempty"`
-	BoundaryBytes int64  `json:"boundary_bytes"` // full-batch stash between groups
-	FullBytes     int64  `json:"full_bytes"`     // unplanned per-layer footprint
-}
-
-// CacheStats is the JSON form of sweep.Stats.
-type CacheStats struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-	Bytes     int64   `json:"bytes"`
-	MaxBytes  int64   `json:"max_bytes"`
-
-	Tables map[string]TableStats `json:"tables"`
-}
-
-// TableStats is one memo table's counters.
-type TableStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
 // Stats snapshots the serving, job and cache counters.
-func (s *Server) Stats() StatsResponse {
+func (s *Server) Stats() api.Stats {
 	st := s.engine.Cache().Stats()
 	js := s.jobs.Stats()
-	return StatsResponse{
+	return api.Stats{
 		Build:       buildinfo.Get(),
 		Workers:     s.engine.Workers(),
 		MaxInFlight: s.maxInFlight,
@@ -498,7 +424,7 @@ func (s *Server) Stats() StatsResponse {
 		Failed:      s.failed.Load(),
 		Cancelled:   s.cancelled.Load(),
 		Jobs:        js,
-		Engine: EngineStats{
+		Engine: api.EngineStats{
 			Kernel:     tensor.CurrentEngine().String(),
 			Threads:    tensor.Threads(),
 			GemmConfig: tensor.CurrentKernelConfig().String(),
@@ -507,13 +433,13 @@ func (s *Server) Stats() StatsResponse {
 		},
 		Infer: s.batcher.Stats(),
 		MBS:   s.mbs,
-		Cache: CacheStats{
+		Cache: api.CacheStats{
 			Hits: st.Hits(), Misses: st.Misses(), Evictions: st.Evictions(),
 			HitRate: st.HitRate(), Bytes: st.Bytes, MaxBytes: st.MaxBytes,
-			Tables: map[string]TableStats{
-				"network": {st.NetworkHits, st.NetworkMisses, st.NetworkEvictions},
-				"plan":    {st.PlanHits, st.PlanMisses, st.PlanEvictions},
-				"traffic": {st.TrafficHits, st.TrafficMisses, st.TrafficEvictions},
+			Tables: map[string]api.TableStats{
+				"network": {Hits: st.NetworkHits, Misses: st.NetworkMisses, Evictions: st.NetworkEvictions},
+				"plan":    {Hits: st.PlanHits, Misses: st.PlanMisses, Evictions: st.PlanEvictions},
+				"traffic": {Hits: st.TrafficHits, Misses: st.TrafficMisses, Evictions: st.TrafficEvictions},
 			},
 		},
 	}
@@ -529,7 +455,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	var req RunRequest
+	var req api.RunRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "",
 			"bad request body: %s", err))

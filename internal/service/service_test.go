@@ -97,7 +97,7 @@ func TestScenariosEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var infos []experiments.Info
+	var infos []api.ScenarioInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatsResponse
+	var st api.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestStatsIncludesJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st StatsResponse
+		var st api.Stats
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
@@ -640,7 +640,7 @@ func TestInferEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: HTTP %d", resp.StatusCode)
 	}
-	var st StatsResponse
+	var st api.Stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -864,7 +864,7 @@ func TestInferOverload429(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: HTTP %d", resp.StatusCode)
 	}
-	var sr StatsResponse
+	var sr api.Stats
 	if err := json.Unmarshal(body2, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/bus"
@@ -59,9 +61,12 @@ drain:
 		t.Fatalf("published %d sweep.cell events, want %d (dropped %d)", len(seen), len(cells), sub.Dropped())
 	}
 	for i, res := range results {
-		row, ok := seen[i].Row.(Row)
-		if !ok || row != RowOf(cells[i], res) {
-			t.Fatalf("cell %d: published row %+v, want %+v", i, seen[i].Row, RowOf(cells[i], res))
+		want, err := json.Marshal(RowOf(cells[i], res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seen[i].Row, want) {
+			t.Fatalf("cell %d: published row %s, want %s", i, seen[i].Row, want)
 		}
 		if seen[i].Cell != cells[i].String() {
 			t.Fatalf("cell %d label = %q, want %q", i, seen[i].Cell, cells[i].String())

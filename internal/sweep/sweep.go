@@ -17,6 +17,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -306,9 +307,9 @@ func (e *Engine) SimulateGrid(ctx context.Context, cells []Cell) ([]*sim.Result,
 		if err == nil {
 			e.cells.Add(1)
 			// Build the Row at most once, and only if someone is watching:
-			// the bus publish is skipped entirely (payload included) when no
-			// subscriber is attached, keeping unobserved sweeps at their old
-			// cost.
+			// the bus publish is skipped entirely (payload and its
+			// marshalling included) when no subscriber is attached, keeping
+			// unobserved sweeps at their old cost.
 			b := e.evbus.Load()
 			busWants := b != nil && b.Active()
 			if obs != nil || busWants {
@@ -317,8 +318,9 @@ func (e *Engine) SimulateGrid(ctx context.Context, cells []Cell) ([]*sim.Result,
 					obs(i, cells[i], row)
 				}
 				if busWants {
+					raw, _ := json.Marshal(row) // a Row always marshals
 					b.Publish(bus.TopicSweepCell, bus.SweepCell{
-						Index: i, Cell: cells[i].String(), Row: row,
+						Index: i, Cell: cells[i].String(), Row: raw,
 					})
 				}
 			}

@@ -4,10 +4,10 @@
 // structured errors into *APIError, and is context-aware throughout —
 // cancelling a call's context abandons it immediately.
 //
-// The wire types here deliberately mirror internal/api and
-// internal/service rather than importing them: the client is the consumer-
-// facing contract, and the service parity tests pin the two against each
-// other.
+// The wire types are aliases of their single declarations in internal/api
+// (and of the event payloads in internal/bus), so the client decodes
+// exactly the shapes the server encodes; only APIError and BusEvent are the
+// client's own.
 //
 //	c := client.New("http://127.0.0.1:8080")
 //	job, err := c.Submit(ctx, "sweep", map[string]string{"axes": "buffer"})
@@ -32,6 +32,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/api"
 )
 
 // Client talks to one mbsd base URL.
@@ -104,18 +106,18 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("mbsd: HTTP %d (%s): %s", e.Status, e.Code, e.Message)
 }
 
-// Error codes mirrored from the service for branching without string
-// matching.
+// Error codes, for branching on APIError.Code without string matching.
 const (
-	CodeBadRequest      = "bad_request"
-	CodeUnknownScenario = "unknown_scenario"
-	CodeInvalidParams   = "invalid_params"
-	CodeUnknownJob      = "unknown_job"
-	CodeRunFailed       = "run_failed"
-	CodeCancelled       = "cancelled"
-	CodeUnavailable     = "unavailable"
-	CodeOverloaded      = "overloaded"
-	CodeInternal        = "internal"
+	CodeBadRequest      = api.CodeBadRequest
+	CodeUnknownScenario = api.CodeUnknownScenario
+	CodeInvalidParams   = api.CodeInvalidParams
+	CodeUnknownJob      = api.CodeUnknownJob
+	CodeNoResult        = api.CodeNoResult
+	CodeRunFailed       = api.CodeRunFailed
+	CodeCancelled       = api.CodeCancelled
+	CodeUnavailable     = api.CodeUnavailable
+	CodeOverloaded      = api.CodeOverloaded
+	CodeInternal        = api.CodeInternal
 )
 
 // Overloaded reports whether err is a 429 shed by inference admission
@@ -126,182 +128,40 @@ func Overloaded(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests
 }
 
-// ScenarioParam describes one typed scenario parameter.
-type ScenarioParam struct {
-	Name        string   `json:"name"`
-	Type        string   `json:"type"`
-	Default     string   `json:"default"`
-	Description string   `json:"description"`
-	Enum        []string `json:"enum,omitempty"`
-}
-
-// ScenarioInfo is one registry entry of GET /v1/scenarios.
-type ScenarioInfo struct {
-	Name        string          `json:"name"`
-	Description string          `json:"description"`
-	Params      []ScenarioParam `json:"params,omitempty"`
-}
-
-// RunRequest is the POST /v1/run body.
-type RunRequest struct {
-	Scenario string            `json:"scenario"`
-	Params   map[string]string `json:"params,omitempty"`
-	Format   string            `json:"format,omitempty"` // "", "json" or "text"
-}
-
-// JobState is a v2 job's lifecycle position.
-type JobState string
+// The wire types, declared once in internal/api.
+type (
+	ScenarioParam = api.ScenarioParam
+	ScenarioInfo  = api.ScenarioInfo
+	RunRequest    = api.RunRequest
+	InferResponse = api.InferResponse
+	JobState      = api.JobState
+	// Job is a v2 job's status; Result holds the scenario's rendered JSON
+	// (the POST /v1/run bytes) once State == done.
+	Job = api.JobStatus
+	// Event is one NDJSON line of a job stream.
+	Event = api.Event
+	// Stats is the GET /v1/stats body.
+	Stats        = api.Stats
+	JobStats     = api.JobStats
+	CacheStats   = api.CacheStats
+	TableStats   = api.TableStats
+	EngineStats  = api.EngineStats
+	InferStats   = api.InferStats
+	ReplicaStats = api.ReplicaStats
+	MBSPlanStats = api.MBSPlanStats
+)
 
 // Job lifecycle states.
 const (
-	JobQueued    JobState = "queued"
-	JobRunning   JobState = "running"
-	JobDone      JobState = "done"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
+	JobQueued    = api.JobQueued
+	JobRunning   = api.JobRunning
+	JobDone      = api.JobDone
+	JobFailed    = api.JobFailed
+	JobCancelled = api.JobCancelled
 )
 
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
-
-// Job is a v2 job's status; Result holds the scenario's rendered JSON (the
-// POST /v1/run bytes) once State == done.
-type Job struct {
-	ID             string            `json:"id"`
-	Scenario       string            `json:"scenario"`
-	Params         map[string]string `json:"params,omitempty"`
-	State          JobState          `json:"state"`
-	Error          string            `json:"error,omitempty"`
-	Code           string            `json:"code,omitempty"`
-	CellsCompleted int               `json:"cells_completed"`
-	Shards         int               `json:"shards,omitempty"`
-	ShardsDone     int               `json:"shards_done,omitempty"`
-	Attempts       int               `json:"attempts,omitempty"`
-	Requeues       int               `json:"requeues,omitempty"`
-	SubmittedAt    time.Time         `json:"submitted_at"`
-	StartedAt      *time.Time        `json:"started_at,omitempty"`
-	FinishedAt     *time.Time        `json:"finished_at,omitempty"`
-	Result         json.RawMessage   `json:"result,omitempty"`
-}
-
-// Event is one NDJSON line of a job stream.
-type Event struct {
-	Type  string          `json:"type"` // "status" | "cell" | "done"
-	Index int             `json:"index"`
-	Cell  string          `json:"cell,omitempty"`
-	Row   json.RawMessage `json:"row,omitempty"`
-	Job   *Job            `json:"job,omitempty"`
-}
-
-// InferResponse is the POST /v2/infer body: one logits row, predicted
-// class and serving batch size per input, in request order.
-type InferResponse struct {
-	Model      string      `json:"model"`
-	Outputs    [][]float64 `json:"outputs"`
-	Argmax     []int       `json:"argmax"`
-	BatchSizes []int       `json:"batch_sizes"`
-}
-
-// ReplicaStats is one pool member's share of the served work.
-type ReplicaStats struct {
-	Batches int64 `json:"batches"`
-	Items   int64 `json:"items"`
-}
-
-// InferStats is the inference-batcher section of Stats.
-type InferStats struct {
-	Model           string         `json:"model"`
-	MaxBatch        int            `json:"max_batch"`
-	MaxDelay        string         `json:"max_delay"`
-	MinDelay        string         `json:"min_delay"`
-	QueueCap        int            `json:"queue_cap"`
-	Replicas        int            `json:"replicas"`
-	ShedEnabled     bool           `json:"shed_enabled"`
-	PackedKB        float64        `json:"packed_weight_kb"`
-	Requests        int64          `json:"requests"`
-	Items           int64          `json:"items"`
-	Batches         int64          `json:"batches"`
-	FullFlushes     int64          `json:"full_flushes"`
-	DeadlineFlushes int64          `json:"deadline_flushes"`
-	Cancelled       int64          `json:"cancelled"`
-	Shed            int64          `json:"shed"`
-	ShortDeadlines  int64          `json:"short_deadlines"`
-	QueueDepth      int            `json:"queue_depth"`
-	MeanBatchSize   float64        `json:"mean_batch_size"`
-	PerReplica      []ReplicaStats `json:"per_replica"`
-}
-
-// EngineStats is the tensor-kernel section of Stats.
-type EngineStats struct {
-	Kernel     string `json:"kernel"`
-	Threads    int    `json:"threads"`
-	GemmConfig string `json:"gemm_config"`
-	Autotuned  bool   `json:"autotuned"`
-	SIMD       bool   `json:"simd"`
-}
-
-// MBSPlanStats is the MBS executor-plan section of Stats.
-type MBSPlanStats struct {
-	Groups        int    `json:"groups"`
-	SubBatch      int    `json:"sub_batch"`
-	ArenaBytes    int64  `json:"arena_bytes"`
-	BudgetBytes   int64  `json:"budget_bytes"`
-	BudgetAuto    bool   `json:"budget_auto"`
-	BudgetSource  string `json:"budget_source,omitempty"`
-	BoundaryBytes int64  `json:"boundary_bytes"`
-	FullBytes     int64  `json:"full_bytes"`
-}
-
-// JobStats is the jobs section of Stats.
-type JobStats struct {
-	Submitted     int64              `json:"submitted"`
-	QueueDepth    int64              `json:"queue_depth"`
-	Cancellations int64              `json:"cancellations"`
-	ByState       map[JobState]int   `json:"by_state"`
-	Transitions   map[JobState]int64 `json:"transitions"`
-	Retained      int                `json:"retained"`
-	Store         string             `json:"store"`
-	Workers       int                `json:"workers"`
-	ShardsClaimed int64              `json:"shards_claimed"`
-	LeasesExpired int64              `json:"leases_expired"`
-	LeasesLost    int64              `json:"leases_lost"`
-	Requeues      int64              `json:"requeues"`
-	Recovered     int64              `json:"recovered"`
-	StoreErrors   int64              `json:"store_errors"`
-	ActiveLeases  int64              `json:"active_leases"`
-}
-
-// CacheStats is the engine-cache section of Stats.
-type CacheStats struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-	Bytes     int64   `json:"bytes"`
-	MaxBytes  int64   `json:"max_bytes"`
-}
-
-// Stats is the GET /v1/stats body (build identity fields omitted; decode
-// raw via Run-style calls if needed).
-type Stats struct {
-	Workers     int         `json:"workers"`
-	MaxInFlight int         `json:"max_in_flight"`
-	InFlight    int64       `json:"in_flight"`
-	QueueDepth  int64       `json:"queue_depth"`
-	Served      int64       `json:"served"`
-	Failed      int64       `json:"failed"`
-	Cancelled   int64       `json:"cancelled"`
-	Jobs        JobStats     `json:"jobs"`
-	Cache       CacheStats   `json:"cache"`
-	Engine      EngineStats  `json:"engine"`
-	Infer       InferStats   `json:"infer"`
-	MBS         MBSPlanStats `json:"mbs_plan"`
-}
-
-// do issues a request and returns the response, converting non-2xx bodies
-// into *APIError.
+// do issues a JSON request and returns the response, converting non-2xx
+// bodies into *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
@@ -318,6 +178,12 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	return c.send(req)
+}
+
+// send issues req and returns the response when it is 2xx; any other
+// status is read, closed and returned as *APIError.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -386,7 +252,7 @@ func (c *Client) Run(ctx context.Context, req RunRequest) ([]byte, error) {
 // micro-batches; the response reports per-sample logits, predicted class,
 // and the batch size the sample was served under.
 func (c *Client) Infer(ctx context.Context, inputs [][]float64) (*InferResponse, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/v2/infer", map[string]any{"inputs": inputs})
+	resp, err := c.do(ctx, http.MethodPost, "/v2/infer", api.InferRequest{Inputs: inputs})
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +267,7 @@ func (c *Client) Infer(ctx context.Context, inputs [][]float64) (*InferResponse,
 // Submit enqueues a scenario as an asynchronous v2 job.
 func (c *Client) Submit(ctx context.Context, scenario string, params map[string]string) (*Job, error) {
 	resp, err := c.do(ctx, http.MethodPost, "/v2/jobs",
-		map[string]any{"scenario": scenario, "params": params})
+		api.JobRequest{Scenario: scenario, Params: params})
 	if err != nil {
 		return nil, err
 	}
@@ -473,9 +339,15 @@ func (c *Client) Stream(ctx context.Context, id string) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20) // "all" rows can be sizeable
-	return &Stream{body: resp.Body, sc: sc}, nil
+	return &Stream{body: resp.Body, sc: newScanner(resp.Body)}, nil
+}
+
+// newScanner splits a streamed body into lines; "all" rows and SSE frames
+// can be sizeable.
+func newScanner(body io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	return sc
 }
 
 // Next returns the next event; io.EOF after the final (done) event.

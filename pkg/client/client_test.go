@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/report"
 	"repro/internal/service"
 )
 
@@ -221,7 +223,7 @@ func TestOverloaded429Decoding(t *testing.T) {
 }
 
 // TestInferStatsMirror round-trips the replica-pool stats through the wire
-// into the client mirror types.
+// into the client's stats types.
 func TestInferStatsMirror(t *testing.T) {
 	svc := service.New(service.Config{InferReplicas: 2, InferShed: true})
 	ts := httptest.NewServer(svc.Handler())
@@ -247,5 +249,101 @@ func TestInferStatsMirror(t *testing.T) {
 	}
 	if in.PerReplica[0].Items+in.PerReplica[1].Items != in.Items {
 		t.Errorf("per-replica items %+v don't sum to %d", in.PerReplica, in.Items)
+	}
+}
+
+// TestStatsDecodesLosslessly pins client.Stats to the /v1/stats body: a
+// body decoded into Stats and re-rendered through the server's JSON
+// renderer must come back byte for byte, so no section or field the server
+// sends can be missing from the client's type.
+func TestStatsDecodesLosslessly(t *testing.T) {
+	svc := service.New(service.Config{InferReplicas: 2})
+	ts := httptest.NewServer(svc.Handler())
+	defer func() {
+		ts.Close()
+		svc.Close()
+	}()
+	c := New(ts.URL)
+	ctx := context.Background()
+	// Populate the maps and per-replica slices before reading.
+	job, err := c.Submit(ctx, "sweep", map[string]string{"axes": "buffer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Infer(ctx, [][]float64{make([]float64, 768)}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := report.WriteJSON(&again, st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Errorf("/v1/stats does not survive a decode into client.Stats:\n--- server\n%s\n--- client\n%s", raw, again.Bytes())
+	}
+}
+
+// TestErrorDecodingOneDecoder drives the request path (Stats) and the SSE
+// path (Events) with the same non-2xx responses: both must decode them into
+// the same *APIError.
+func TestErrorDecodingOneDecoder(t *testing.T) {
+	cases := []struct {
+		name       string
+		status     int
+		retryAfter string
+		body       string
+		want       APIError
+	}{
+		{"overloaded", 429, "3", `{"error":"inference queue is full","code":"overloaded"}`,
+			APIError{Status: 429, Message: "inference queue is full", Code: CodeOverloaded, RetryAfter: 3 * time.Second}},
+		{"structured", 404, "", `{"error":"unknown scenario","scenario":"fig99","code":"unknown_scenario"}`,
+			APIError{Status: 404, Message: "unknown scenario", Scenario: "fig99", Code: CodeUnknownScenario}},
+		{"empty body", 500, "", "",
+			APIError{Status: 500, Message: "500 Internal Server Error", Code: CodeInternal}},
+		{"plain text", 502, "", "upstream down\n",
+			APIError{Status: 502, Message: "upstream down", Code: CodeInternal}},
+		{"unusable hint", 503, "soon", `{"error":"shutting down","code":"unavailable"}`,
+			APIError{Status: 503, Message: "shutting down", Code: CodeUnavailable}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.retryAfter != "" {
+					w.Header().Set("Retry-After", tc.retryAfter)
+				}
+				w.WriteHeader(tc.status)
+				io.WriteString(w, tc.body)
+			}))
+			defer ts.Close()
+			c := New(ts.URL)
+			ctx := context.Background()
+			_, statsErr := c.Stats(ctx)
+			_, eventsErr := c.Events(ctx, EventsOptions{})
+			for path, err := range map[string]error{"Stats": statsErr, "Events": eventsErr} {
+				var ae *APIError
+				if !errors.As(err, &ae) {
+					t.Fatalf("%s: err = %T (%v), want *APIError", path, err, err)
+				}
+				if *ae != tc.want {
+					t.Errorf("%s: got %+v, want %+v", path, *ae, tc.want)
+				}
+			}
+		})
 	}
 }

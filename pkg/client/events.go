@@ -15,16 +15,19 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/bus"
 )
 
-// Event-bus topics, mirrored from the service's catalog. Pass these to
-// EventsOptions.Topics to filter the firehose.
+// Event-bus topics. Pass these to EventsOptions.Topics to filter the
+// firehose.
 const (
-	TopicSweepCell   = "sweep.cell"
-	TopicSweepCache  = "sweep.cache"
-	TopicJobState    = "job.state"
-	TopicInferFlush  = "infer.flush"
-	TopicHTTPRequest = "http.request"
+	TopicSweepCell   = bus.TopicSweepCell
+	TopicSweepCache  = bus.TopicSweepCache
+	TopicJobState    = bus.TopicJobState
+	TopicJobLease    = bus.TopicJobLease
+	TopicInferFlush  = bus.TopicInferFlush
+	TopicHTTPRequest = bus.TopicHTTPRequest
 )
 
 // BusEvent is one event from the /v2/events firehose: the envelope decoded,
@@ -36,49 +39,20 @@ type BusEvent struct {
 	Data  json.RawMessage `json:"data,omitempty"`
 }
 
-// SweepCellEvent is the sweep.cell payload: one completed grid cell.
-type SweepCellEvent struct {
-	Index int             `json:"index"`
-	Cell  string          `json:"cell"`
-	Row   json.RawMessage `json:"row,omitempty"`
-}
-
-// SweepCacheEvent is the sweep.cache payload: one memo-table hit, miss or
-// eviction.
-type SweepCacheEvent struct {
-	Table string `json:"table"` // "network" | "plan" | "traffic"
-	Kind  string `json:"kind"`  // "hit" | "miss" | "eviction"
-}
-
-// JobStateEvent is the job.state payload: one v2 job lifecycle transition.
-type JobStateEvent struct {
-	ID       string `json:"id"`
-	Scenario string `json:"scenario"`
-	State    string `json:"state"` // queued | running | done | failed | cancelled
-	Cells    int    `json:"cells,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// InferFlushEvent is the infer.flush payload: one served micro-batch.
-type InferFlushEvent struct {
-	Replica     int     `json:"replica"`
-	Size        int     `json:"size"`
-	Full        bool    `json:"full"`
-	QueueWaitMS float64 `json:"queue_wait_ms"`
-}
-
-// HTTPRequestEvent is the http.request payload: one completed API request.
-type HTTPRequestEvent struct {
-	Method     string  `json:"method"`
-	Route      string  `json:"route"`
-	Status     int     `json:"status"`
-	DurationMS float64 `json:"duration_ms"`
-}
+// The per-topic payloads Decode returns, declared once in internal/bus.
+type (
+	SweepCellEvent   = bus.SweepCell
+	SweepCacheEvent  = bus.CacheEvent
+	JobStateEvent    = bus.JobState
+	JobLeaseEvent    = bus.JobLease
+	InferFlushEvent  = bus.InferFlush
+	HTTPRequestEvent = bus.HTTPRequest
+)
 
 // Decode unmarshals the payload into the Go type for the event's topic:
-// *SweepCellEvent, *SweepCacheEvent, *JobStateEvent, *InferFlushEvent or
-// *HTTPRequestEvent. Unknown topics decode into map[string]any so a newer
-// server's extra topics degrade gracefully.
+// *SweepCellEvent, *SweepCacheEvent, *JobStateEvent, *JobLeaseEvent,
+// *InferFlushEvent or *HTTPRequestEvent. Unknown topics decode into
+// map[string]any so a newer server's extra topics degrade gracefully.
 func (e *BusEvent) Decode() (any, error) {
 	var out any
 	switch e.Topic {
@@ -88,6 +62,8 @@ func (e *BusEvent) Decode() (any, error) {
 		out = new(SweepCacheEvent)
 	case TopicJobState:
 		out = new(JobStateEvent)
+	case TopicJobLease:
+		out = new(JobLeaseEvent)
 	case TopicInferFlush:
 		out = new(InferFlushEvent)
 	case TopicHTTPRequest:
@@ -156,23 +132,11 @@ func (c *Client) Events(ctx context.Context, opts EventsOptions) (*EventStream, 
 	if opts.After > 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(opts.After, 10))
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(req)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		ae := &APIError{Status: resp.StatusCode}
-		if err := json.Unmarshal(raw, ae); err != nil || ae.Message == "" {
-			ae.Message = strings.TrimSpace(string(raw))
-			ae.Code = CodeInternal
-		}
-		return nil, ae
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	return &EventStream{body: resp.Body, sc: sc, lastID: opts.After}, nil
+	return &EventStream{body: resp.Body, sc: newScanner(resp.Body), lastID: opts.After}, nil
 }
 
 // Next blocks for the next event. Heartbeat and informational comments are

@@ -1,10 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/bus"
 )
 
 // readJobStates reads job.state events for id off the stream until a
@@ -185,5 +189,44 @@ func TestDecodeUnknownTopicDegrades(t *testing.T) {
 	m, ok := payload.(*map[string]any)
 	if !ok || (*m)["k"] != float64(1) {
 		t.Fatalf("unknown topic decoded to %T %v", payload, payload)
+	}
+}
+
+// TestDecodeEveryTopicTyped: every topic in the bus catalog decodes into
+// its typed payload, never the unknown-topic map, and the typed payload
+// keeps every field the server publishes.
+func TestDecodeEveryTopicTyped(t *testing.T) {
+	samples := map[string]any{
+		bus.TopicSweepCell:   bus.SweepCell{Index: 3, Cell: "resnet50/MBS2", Row: json.RawMessage(`{"network":"resnet50","batch":32}`)},
+		bus.TopicSweepCache:  bus.CacheEvent{Table: "plan", Kind: "hit"},
+		bus.TopicJobState:    bus.JobState{ID: "job-1", Scenario: "sweep", State: "failed", Cells: 5, Error: "boom"},
+		bus.TopicJobLease:    bus.JobLease{JobID: "job-1", Shard: 2, Worker: "w-0", Action: "claimed", Attempt: 1},
+		bus.TopicInferFlush:  bus.InferFlush{Replica: 1, Size: 8, Full: true, QueueWaitMS: 1.5},
+		bus.TopicHTTPRequest: bus.HTTPRequest{Method: "POST", Route: "POST /v1/run", Status: 200, DurationMS: 2.5},
+	}
+	for _, topic := range bus.Topics() {
+		sample, ok := samples[topic]
+		if !ok {
+			t.Fatalf("no sample payload for topic %q", topic)
+		}
+		data, err := json.Marshal(sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := (&BusEvent{Topic: topic, Data: data}).Decode()
+		if err != nil {
+			t.Fatalf("%s: %v", topic, err)
+		}
+		if _, untyped := payload.(*map[string]any); untyped {
+			t.Errorf("%s decodes into the unknown-topic map, not a typed payload", topic)
+			continue
+		}
+		again, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s payload lost fields: decoded %s, published %s", topic, again, data)
+		}
 	}
 }
