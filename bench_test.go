@@ -407,24 +407,12 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 	}
 }
 
-// --- Compute-kernel engine (internal/tensor) ---------------------------------
+// --- Compute kernels (internal/tensor) ----------------------------------------
 //
-// BenchmarkKernel* and BenchmarkTrainStep* compare the naive reference
-// kernels against the GEMM engine (im2col + cache-blocked parallel GEMM with
-// a pooled scratch arena). Run with -benchmem: the headline claims are the
-// gemm/naive ns-per-op ratio and the steady-state allocs/op reduction.
-
-// benchEngines runs fn once per kernel engine as a sub-benchmark.
-func benchEngines(b *testing.B, fn func(b *testing.B)) {
-	b.Helper()
-	for _, e := range []tensor.Engine{tensor.EngineNaive, tensor.EngineGEMM} {
-		b.Run(e.String(), func(b *testing.B) {
-			prev := tensor.SetEngine(e)
-			defer tensor.SetEngine(prev)
-			fn(b)
-		})
-	}
-}
+// BenchmarkKernel* and BenchmarkTrainStep* time the GEMM kernels (im2col +
+// cache-blocked parallel GEMM with a pooled scratch arena) and the training
+// steps built on them. Run with -benchmem: steady-state steps allocate
+// nothing.
 
 // kernelCase is the mid-sized conv layer of the Fig. 6 classifier at batch
 // 32 — the hot shape of the training path.
@@ -446,13 +434,11 @@ func BenchmarkKernelConv2DForward(b *testing.B) {
 	x, w, bias, s := kernelCase()
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
 	out := tensor.New(x.Shape[0], s.OutC, oh, ow)
-	benchEngines(b, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tensor.Conv2DInto(out, x, w, bias, s)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Conv2DInto(out, x, w, bias, s)
+	}
 }
 
 // BenchmarkKernelConv2DBackward times all three gradients (dx, dw, db) into
@@ -464,13 +450,11 @@ func BenchmarkKernelConv2DBackward(b *testing.B) {
 	dy := tensor.New(y.Shape...)
 	dy.Randn(rng, 1)
 	dx, dw, db := tensor.New(x.Shape...), tensor.New(w.Shape...), tensor.New(s.OutC)
-	benchEngines(b, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tensor.Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
+	}
 }
 
 // BenchmarkKernelMatMul times the blocked parallel GEMM on a square case.
@@ -503,46 +487,39 @@ func trainStepModel() (*nn.Model, *tensor.Tensor, []int, *nn.SGD) {
 }
 
 // BenchmarkTrainStepFull times one conventional training step (forward +
-// backward + SGD) of the small CNN at batch 32 — the acceptance benchmark
-// for the kernel engine (≥4x speedup, ≥10x fewer allocs/op vs naive).
+// backward + SGD) of the small CNN at batch 32.
 func BenchmarkTrainStepFull(b *testing.B) {
-	benchEngines(b, func(b *testing.B) {
-		m, x, labels, opt := trainStepModel()
-		m.TrainStepFull(x, labels, opt) // warm buffers and scratch arena
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.TrainStepFull(x, labels, opt)
-		}
-	})
+	m, x, labels, opt := trainStepModel()
+	m.TrainStepFull(x, labels, opt) // warm buffers and scratch arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainStepFull(x, labels, opt)
+	}
 }
 
 // BenchmarkTrainStepMBS times one MBS-serialized training step (sub-batch
 // 8, gradient accumulation across sub-batches) with no plan installed, so
 // the whole model runs as one group.
 func BenchmarkTrainStepMBS(b *testing.B) {
-	benchEngines(b, func(b *testing.B) {
-		m, x, labels, opt := trainStepModel()
+	m, x, labels, opt := trainStepModel()
+	m.TrainStepMBS(x, labels, 8, opt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		m.TrainStepMBS(x, labels, 8, opt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.TrainStepMBS(x, labels, 8, opt)
-		}
-	})
+	}
 }
 
 // BenchmarkTrainStepMBSGrouped times installed MBS plans (nn.PlanMBS +
-// SetMBSPlan) across a sub-batch × cache-budget grid on the GEMM engine.
+// SetMBSPlan) across a sub-batch × cache-budget grid.
 // budget=auto plans under the detected cache size (usually one group on a
 // large-L3 host); the byte budgets force multi-group schedules that stash
 // boundary activations and re-forward groups on the backward pass, which
 // is the paper's cache-residency trade. Gradients are bit-identical to
-// BenchmarkTrainStepMBS/gemm on the same shapes — compare ns/op, B/op and
+// BenchmarkTrainStepMBS on the same shapes — compare ns/op, B/op and
 // allocs/op directly.
 func BenchmarkTrainStepMBSGrouped(b *testing.B) {
-	prev := tensor.SetEngine(tensor.EngineGEMM)
-	defer tensor.SetEngine(prev)
 	budgets := []struct {
 		name  string
 		bytes int64

@@ -8,7 +8,6 @@
 //
 //	mbstrain                 # default laptop-scale run (~1 minute)
 //	mbstrain -epochs 5 -samples 256 -subbatch 4
-//	mbstrain -engine naive   # direct reference kernels (slow oracle)
 //	mbstrain -threads 4      # cap kernel parallelism (0 = GOMAXPROCS)
 //	mbstrain -mbs-cache-budget 2MiB  # group layers to fit a 2 MiB cache
 //	mbstrain -mbs-cache-budget auto  # group layers to fit the detected cache
@@ -19,12 +18,11 @@
 // -mbs-cache-budget the whole model is one group. Every grouping computes
 // the same bits.
 //
-// Reproducibility: training is deterministic given -seed. The gemm engine
-// partitions only independent work across goroutines and reduces weight
-// gradients in fixed sample order, so its results are bit-identical for
-// every -threads value; the two engines agree with each other to floating-
-// point rounding (~1e-15 per step). Re-running with the same -seed and
-// -engine reproduces every printed digit.
+// Reproducibility: training is deterministic given -seed. The GEMM kernels
+// partition only independent work across goroutines and reduce weight
+// gradients in fixed sample order, so results are bit-identical for every
+// -threads value. Re-running with the same -seed reproduces every printed
+// digit.
 package main
 
 import (
@@ -49,12 +47,11 @@ func main() {
 	subBatch := flag.Int("subbatch", 0, "MBS sub-batch size (0 = default)")
 	seed := flag.Int64("seed", 1, "random seed")
 	checkOnly := flag.Bool("check", false, "only run the gradient-equivalence check")
-	engine := flag.String("engine", "gemm", "compute engine: gemm (im2col + parallel blocked GEMM) or naive (reference loops)")
 	threads := flag.Int("threads", 0, "kernel goroutines (0 = GOMAXPROCS)")
 	gemmBlock := flag.String("gemm-block", "",
 		"GEMM blocking KCxNC or KCxNC:MRxNR (empty = startup autotune; KC changes are bit-visible)")
 	fp16 := flag.Bool("fp16", false,
-		"train with half-precision linear weights (fp32 masters/gradients; GEMM engine only)")
+		"train with half-precision linear weights (fp32 masters/gradients)")
 	mbsBudget := flag.String("mbs-cache-budget", "",
 		"group MBS layers to fit this cache budget, e.g. 2MiB or 512K; auto = detected cache size (empty = one group)")
 	version := flag.Bool("version", false, "print build identity and exit")
@@ -65,12 +62,6 @@ func main() {
 		return
 	}
 
-	eng, err := tensor.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	tensor.SetEngine(eng)
 	tensor.SetThreads(*threads)
 	if *gemmBlock != "" {
 		cfg, err := tensor.ParseKernelConfig(*gemmBlock)
@@ -86,7 +77,7 @@ func main() {
 	} else {
 		fmt.Printf("gemm: autotune %s\n", tensor.Autotune())
 	}
-	fmt.Printf("engine=%s threads=%d\n", eng, tensor.Threads())
+	fmt.Printf("threads=%d\n", tensor.Threads())
 
 	// Ctrl-C cancels the training run at the next epoch boundary instead of
 	// killing the process mid-write.
@@ -109,10 +100,6 @@ func main() {
 			cfg.SubBatch = *subBatch
 		}
 		if *fp16 {
-			if eng != tensor.EngineGEMM {
-				fmt.Fprintln(os.Stderr, "mbstrain: -fp16 requires -engine gemm")
-				os.Exit(2)
-			}
 			cfg.FP16 = true
 			fmt.Println("fp16: half-precision linear weights (fp32 masters)")
 		}

@@ -25,10 +25,9 @@ type Stats struct {
 	MBS       MBSPlanStats `json:"mbs_plan"`
 }
 
-// EngineStats reports the active tensor.Engine configuration the inference
-// and training kernels run under.
+// EngineStats reports the GEMM kernel configuration the inference and
+// training layers run under (see internal/tensor).
 type EngineStats struct {
-	Kernel     string `json:"kernel"`      // "gemm" or "naive"
 	Threads    int    `json:"threads"`     // resolved kernel parallelism
 	GemmConfig string `json:"gemm_config"` // KCxNC:MRxNR blocking + micro-tile
 	Autotuned  bool   `json:"autotuned"`   // config chosen by tensor.Autotune

@@ -15,8 +15,7 @@ import "repro/internal/tensor"
 // (straight-through estimation): only forward matmuls ride the fp16 store.
 // Convolution weights stay fp32 — their im2col GEMM consumes the packed
 // *activations*, not the weights, so PackedF16's B-operand layout does not
-// apply. The fp16 path requires the GEMM engine; the naive oracle always
-// runs fp32.
+// apply.
 //
 // Tolerance: fp16 has an 11-bit significand, so each weight rounds with
 // relative error <= 2^-11 ~ 4.9e-4. Forward activations therefore track the

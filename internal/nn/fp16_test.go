@@ -29,7 +29,6 @@ func buildFP16Pair(seed int64) (a, b *Model, x *tensor.Tensor, labels []int) {
 // the whole numerics story of the fp16 store: quantization on the weights,
 // nothing else.
 func TestFP16ForwardIsExactlyQuantizedFP32(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	defer tensor.SetThreads(tensor.SetThreads(1))
 	mf16, mref, x, _ := buildFP16Pair(31)
 
@@ -68,7 +67,6 @@ func TestFP16ForwardIsExactlyQuantizedFP32(t *testing.T) {
 // O(0.1); fp16 rounds each at <= 2^-11 relative and SGD feeds the
 // difference back through momentum, so drift grows slowly but never jumps).
 func TestFP16TrainingMatchesFP32(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	defer tensor.SetThreads(tensor.SetThreads(1))
 	mf16, m32, x, labels := buildFP16Pair(32)
 	mf16.SetFP16Weights(true)
@@ -105,7 +103,6 @@ func TestFP16TrainStepAllocRegression(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	defer tensor.SetThreads(tensor.SetThreads(1))
 	m, _, x, labels := buildFP16Pair(33)
 	m.SetFP16Weights(true)

@@ -6,10 +6,9 @@
 // exactly the full-batch gradients) while BN is not, and GN+MBS trains as
 // well as BN (the Fig. 6 substitute experiment).
 //
-// Layers run on the tensor package's kernel engine: under the default
-// tensor.EngineGEMM they use GEMM-lowered kernels and persistent per-layer
-// buffers (zero steady-state allocations); under tensor.EngineNaive they
-// keep the original allocate-fresh reference flow.
+// Layers run on the tensor package's GEMM-lowered kernels and write into
+// persistent per-layer buffers, so steady-state training makes no
+// allocations.
 package nn
 
 import (
@@ -47,11 +46,8 @@ type Layer interface {
 	Params() []*Param
 }
 
-// reuseBuffers reports whether layers should run on the GEMM engine's
-// optimized training path: persistent per-layer output/gradient buffers
-// (zero steady-state allocations) and GEMM-lowered kernels. The naive
-// engine keeps the original allocate-fresh-tensors flow as the reference
-// oracle.
+// outBufs is the train/eval pair of persistent forward-output buffers a
+// layer reuses.
 //
 // Buffer lifetime argument: a layer's forward output is consumed by the
 // next layer's forward and, in training, cached as that layer's input until
@@ -61,10 +57,6 @@ type Layer interface {
 // is safe for full-batch and MBS sub-batch flows alike. Evaluation forwards
 // (train=false) write to a separate buffer set, so an Evaluate between a
 // training forward and its backward cannot clobber cached activations.
-func reuseBuffers() bool { return tensor.CurrentEngine() == tensor.EngineGEMM }
-
-// outBufs is the train/eval pair of persistent forward-output buffers a
-// layer reuses under the GEMM engine.
 type outBufs struct {
 	train, eval *tensor.Tensor
 }
@@ -117,7 +109,7 @@ type Conv2D struct {
 	Weight *Param
 	Bias   *Param
 	x      *tensor.Tensor
-	// Persistent buffers for the GEMM engine's allocation-free path.
+	// Persistent buffers of the allocation-free path.
 	out outBufs
 	dx  *tensor.Tensor
 	// col retains the training forward's im2col packing (one [K, M] matrix
@@ -141,41 +133,30 @@ func NewConv2D(name string, rng *rand.Rand, inC, outC, k, stride, pad int) *Conv
 	}
 }
 
-// Forward runs the convolution, caching the input (and, on the GEMM
-// engine, its im2col packing) for backward.
+// Forward runs the convolution, caching the input and its im2col packing
+// for backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		c.x = x
-	}
-	if reuseBuffers() {
-		oh, ow := c.Spec.OutDims(x.Shape[2], x.Shape[3])
-		out := ensure4(c.out.sel(train), x.Shape[0], c.Spec.OutC, oh, ow)
-		if !train {
-			tensor.Conv2DFusedInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false)
-			return out
-		}
-		if n := x.Shape[0] * c.Spec.InC * c.Spec.KH * c.Spec.KW * oh * ow; len(c.col) != n {
-			c.col = make([]float64, n)
-		}
-		tensor.Conv2DFusedColInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false, c.col)
+	oh, ow := c.Spec.OutDims(x.Shape[2], x.Shape[3])
+	out := ensure4(c.out.sel(train), x.Shape[0], c.Spec.OutC, oh, ow)
+	if !train {
+		tensor.Conv2DFusedInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false)
 		return out
 	}
-	return tensor.Conv2D(x, c.Weight.Data, c.Bias.Data, c.Spec)
+	c.x = x
+	if n := x.Shape[0] * c.Spec.InC * c.Spec.KH * c.Spec.KW * oh * ow; len(c.col) != n {
+		c.col = make([]float64, n)
+	}
+	tensor.Conv2DFusedColInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false, c.col)
+	return out
 }
 
-// Backward accumulates weight/bias gradients and returns dx.
+// Backward accumulates weight/bias gradients and returns dx. Gradients
+// accumulate straight into the Param buffers — no intermediate dw/db
+// tensors — and the backward GEMMs consume the im2col packing the forward
+// pass already built.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if reuseBuffers() {
-		// Gradients accumulate straight into the Param buffers — no
-		// intermediate dw/db tensors — and the backward GEMMs consume the
-		// im2col packing the forward pass already built.
-		dx := ensureLike(&c.dx, c.x)
-		tensor.Conv2DBackwardColInto(dx, c.Weight.Grad, c.Bias.Grad, c.col, c.x, c.Weight.Data, dy, c.Spec)
-		return dx
-	}
-	dx, dw, db := tensor.Conv2DBackward(c.x, c.Weight.Data, dy, c.Spec)
-	c.Weight.Grad.AddInPlace(dw)
-	c.Bias.Grad.AddInPlace(db)
+	dx := ensureLike(&c.dx, c.x)
+	tensor.Conv2DBackwardColInto(dx, c.Weight.Grad, c.Bias.Grad, c.col, c.x, c.Weight.Data, dy, c.Spec)
 	return dx
 }
 
@@ -215,53 +196,26 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.x = x
 	}
 	n := x.Shape[0]
-	if reuseBuffers() {
-		out := ensure2(l.out.sel(train), n, l.Out)
-		if l.f16w != nil {
-			tensor.MatMulPackedF16(n, x.Data, l.f16w, out.Data, l.Bias.Data.Data, false, nil)
-			return out
-		}
-		tensor.LinearInto(out, x, l.Weight.Data, l.Bias.Data, false)
+	out := ensure2(l.out.sel(train), n, l.Out)
+	if l.f16w != nil {
+		tensor.MatMulPackedF16(n, x.Data, l.f16w, out.Data, l.Bias.Data.Data, false, nil)
 		return out
 	}
-	out := tensor.New(n, l.Out)
-	for i := 0; i < n; i++ {
-		for o := 0; o < l.Out; o++ {
-			s := l.Bias.Data.Data[o]
-			for j := 0; j < l.In; j++ {
-				s += x.Data[i*l.In+j] * l.Weight.Data.Data[j*l.Out+o]
-			}
-			out.Data[i*l.Out+o] = s
-		}
-	}
+	tensor.LinearInto(out, x, l.Weight.Data, l.Bias.Data, false)
 	return out
 }
 
 // Backward accumulates gradients and returns dx.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Shape[0]
-	if reuseBuffers() {
-		dx := ensure2(&l.dx, n, l.In)
-		dx.Zero()
-		tensor.AddMatMulNT(dx, dy, l.Weight.Data)  // dx  = dy · W^T
-		tensor.AddMatMulTN(l.Weight.Grad, l.x, dy) // dW += x^T · dy
-		for i := 0; i < n; i++ {                   // db += column sums
-			row := dy.Data[i*l.Out : (i+1)*l.Out]
-			for o, g := range row {
-				l.Bias.Grad.Data[o] += g
-			}
-		}
-		return dx
-	}
-	dx := tensor.New(n, l.In)
-	for i := 0; i < n; i++ {
-		for o := 0; o < l.Out; o++ {
-			g := dy.Data[i*l.Out+o]
+	dx := ensure2(&l.dx, n, l.In)
+	dx.Zero()
+	tensor.AddMatMulNT(dx, dy, l.Weight.Data)  // dx  = dy · W^T
+	tensor.AddMatMulTN(l.Weight.Grad, l.x, dy) // dW += x^T · dy
+	for i := 0; i < n; i++ {                   // db += column sums
+		row := dy.Data[i*l.Out : (i+1)*l.Out]
+		for o, g := range row {
 			l.Bias.Grad.Data[o] += g
-			for j := 0; j < l.In; j++ {
-				l.Weight.Grad.Data[j*l.Out+o] += g * l.x.Data[i*l.In+j]
-				dx.Data[i*l.In+j] += g * l.Weight.Data.Data[j*l.Out+o]
-			}
 		}
 	}
 	return dx
@@ -282,43 +236,27 @@ type ReLU struct {
 
 // Forward clamps negatives to zero.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if reuseBuffers() {
-		out := ensureLike(r.out.sel(train), x)
-		if train {
-			if len(r.mask) != len(x.Data) {
-				r.mask = make([]bool, len(x.Data))
-			}
-			for i, v := range x.Data {
-				if v > 0 {
-					out.Data[i] = v
-					r.mask[i] = true
-				} else {
-					out.Data[i] = 0
-					r.mask[i] = false
-				}
-			}
-		} else {
-			for i, v := range x.Data {
-				if v > 0 {
-					out.Data[i] = v
-				} else {
-					out.Data[i] = 0
-				}
+	out := ensureLike(r.out.sel(train), x)
+	if !train {
+		for i, v := range x.Data {
+			if v > 0 {
+				out.Data[i] = v
+			} else {
+				out.Data[i] = 0
 			}
 		}
 		return out
 	}
-	out := x.Clone()
-	if train {
+	if len(r.mask) != len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
 	}
 	for i, v := range x.Data {
 		if v > 0 {
-			if train {
-				r.mask[i] = true
-			}
+			out.Data[i] = v
+			r.mask[i] = true
 		} else {
 			out.Data[i] = 0
+			r.mask[i] = false
 		}
 	}
 	return out
@@ -326,20 +264,11 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward gates the gradient by the stored sign mask.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if reuseBuffers() {
-		dx := ensureLike(&r.dx, dy)
-		for i, g := range dy.Data {
-			if r.mask[i] {
-				dx.Data[i] = g
-			} else {
-				dx.Data[i] = 0
-			}
-		}
-		return dx
-	}
-	dx := dy.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
+	dx := ensureLike(&r.dx, dy)
+	for i, g := range dy.Data {
+		if r.mask[i] {
+			dx.Data[i] = g
+		} else {
 			dx.Data[i] = 0
 		}
 	}
@@ -363,40 +292,27 @@ type MaxPool2 struct {
 
 // Forward pools and records argmax positions.
 func (p *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if reuseBuffers() {
-		n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-		oh := (h-p.K)/p.Stride + 1
-		ow := (w-p.K)/p.Stride + 1
-		out := ensure4(p.out.sel(train), n, c, oh, ow)
-		arg := &p.evalArg
-		if train {
-			arg = &p.arg
-		}
-		if len(*arg) != out.Len() {
-			*arg = make([]int, out.Len())
-		}
-		tensor.MaxPool2DInto(out, *arg, x, p.K, p.Stride)
-		if train {
-			p.inShape = append(p.inShape[:0], x.Shape...)
-		}
-		return out
-	}
-	out, arg := tensor.MaxPool2D(x, p.K, p.Stride)
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh := (h-p.K)/p.Stride + 1
+	ow := (w-p.K)/p.Stride + 1
+	out := ensure4(p.out.sel(train), n, c, oh, ow)
+	arg := &p.evalArg
 	if train {
-		p.arg = arg
-		p.inShape = append([]int(nil), x.Shape...)
+		arg = &p.arg
+		p.inShape = append(p.inShape[:0], x.Shape...)
 	}
+	if len(*arg) != out.Len() {
+		*arg = make([]int, out.Len())
+	}
+	tensor.MaxPool2DInto(out, *arg, x, p.K, p.Stride)
 	return out
 }
 
 // Backward scatters gradients to the argmax positions.
 func (p *MaxPool2) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if reuseBuffers() {
-		dx := ensure4(&p.dx, p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3])
-		tensor.MaxPool2DBackwardInto(dx, dy, p.arg)
-		return dx
-	}
-	return tensor.MaxPool2DBackward(dy, p.arg, p.inShape)
+	dx := ensure4(&p.dx, p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3])
+	tensor.MaxPool2DBackwardInto(dx, dy, p.arg)
+	return dx
 }
 
 // Params returns nil.
@@ -413,28 +329,19 @@ type GlobalAvgPool struct {
 
 // Forward averages each channel.
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if reuseBuffers() {
-		if train {
-			p.inShape = append(p.inShape[:0], x.Shape...)
-		}
-		out := ensure2(p.out.sel(train), x.Shape[0], x.Shape[1])
-		tensor.GlobalAvgPoolInto(out, x)
-		return out
-	}
 	if train {
-		p.inShape = append([]int(nil), x.Shape...)
+		p.inShape = append(p.inShape[:0], x.Shape...)
 	}
-	return tensor.GlobalAvgPool(x)
+	out := ensure2(p.out.sel(train), x.Shape[0], x.Shape[1])
+	tensor.GlobalAvgPoolInto(out, x)
+	return out
 }
 
 // Backward broadcasts the gradient uniformly.
 func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if reuseBuffers() {
-		dx := ensure4(&p.dx, p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3])
-		tensor.GlobalAvgPoolBackwardInto(dx, dy)
-		return dx
-	}
-	return tensor.GlobalAvgPoolBackward(dy, p.inShape)
+	dx := ensure4(&p.dx, p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3])
+	tensor.GlobalAvgPoolBackwardInto(dx, dy)
+	return dx
 }
 
 // Params returns nil.

@@ -31,8 +31,8 @@ import (
 // reference): every parameter's gradient receives its per-span addend in the
 // same ascending span order, each addend computed from bit-identical inputs
 // (deterministic kernels + per-sample GroupNorm statistics), so the
-// accumulated sums match to the last bit, for any group count and on both
-// engines (the naive engine's layers ignore the installed arena views).
+// accumulated sums match to the last bit, for any group count and thread
+// count.
 //
 // All intra-group buffers live at planned offsets of one shared float slab
 // sized for the largest group; per-unit input gradients collapse into two

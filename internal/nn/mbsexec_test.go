@@ -95,21 +95,14 @@ func expectOracleMatch(t *testing.T, m *Model, x *tensor.Tensor, labels []int, s
 // TestGroupedMBSBitIdenticalToLayerByLayer is the executor's core contract:
 // the single-group path a call without a plan takes, and every group count
 // the budget can force — including ragged sub-batches — reproduce the
-// oracle's loss and gradients to the last bit on a GroupNorm model, on both
-// engines and across thread counts.
+// oracle's loss and gradients to the last bit on a GroupNorm model, across
+// thread counts.
 func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
-	defer tensor.SetEngine(tensor.CurrentEngine())
 	defer tensor.SetThreads(tensor.SetThreads(1))
-	// The naive kernels run on one goroutine whatever the thread count.
-	runs := []struct {
-		eng     tensor.Engine
-		threads int
-	}{{tensor.EngineGEMM, 1}, {tensor.EngineGEMM, 3}, {tensor.EngineNaive, 1}}
-	for _, run := range runs {
+	for _, threads := range []int{1, 3} {
 		for _, shape := range []struct{ batch, sub int }{{8, 3}, {32, 5}} {
-			tensor.SetEngine(run.eng)
-			tensor.SetThreads(run.threads)
-			ctx := fmt.Sprintf("%s threads=%d batch=%d sub=%d", run.eng, run.threads, shape.batch, shape.sub)
+			tensor.SetThreads(threads)
+			ctx := fmt.Sprintf("threads=%d batch=%d sub=%d", threads, shape.batch, shape.sub)
 			oracle, x, labels := buildTestModelBatch(31, shape.batch)
 			lossRef := mbsOracle(oracle, x, labels, shape.sub)
 			ref := grabGrads(oracle)
@@ -142,47 +135,42 @@ func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
 
 // TestGroupedMBSResidualEquivalence extends the repo's central equivalence
 // tests to residual models: under GroupNorm every plan and the no-plan path
-// match the oracle bit-for-bit and the full-batch gradients to 1e-9, on
-// both engines.
+// match the oracle bit-for-bit and the full-batch gradients to 1e-9.
 func TestGroupedMBSResidualEquivalence(t *testing.T) {
-	defer tensor.SetEngine(tensor.CurrentEngine())
-	for _, eng := range []tensor.Engine{tensor.EngineGEMM, tensor.EngineNaive} {
-		tensor.SetEngine(eng)
-		build := func() *Model { return BuildSmallResNet(rand.New(rand.NewSource(33)), 3, 16, 8, NormGroup, 8) }
-		rng := rand.New(rand.NewSource(34))
-		x := tensor.New(8, 3, 16, 16)
-		x.Randn(rng, 1)
-		labels := make([]int, 8)
-		for i := range labels {
-			labels[i] = rng.Intn(8)
-		}
-		const sub = 3
+	build := func() *Model { return BuildSmallResNet(rand.New(rand.NewSource(33)), 3, 16, 8, NormGroup, 8) }
+	rng := rand.New(rand.NewSource(34))
+	x := tensor.New(8, 3, 16, 16)
+	x.Randn(rng, 1)
+	labels := make([]int, 8)
+	for i := range labels {
+		labels[i] = rng.Intn(8)
+	}
+	const sub = 3
 
-		full := build()
-		lossFull := full.AccumulateGradsFull(x, labels)
-		refFull := grabGrads(full)
-		oracle := build()
-		lossRef := mbsOracle(oracle, x, labels, sub)
-		ref := grabGrads(oracle)
-		if math.Abs(lossRef-lossFull) > 1e-9 {
-			t.Fatalf("%s: oracle MBS loss %g vs full %g", eng, lossRef, lossFull)
-		}
+	full := build()
+	lossFull := full.AccumulateGradsFull(x, labels)
+	refFull := grabGrads(full)
+	oracle := build()
+	lossRef := mbsOracle(oracle, x, labels, sub)
+	ref := grabGrads(oracle)
+	if math.Abs(lossRef-lossFull) > 1e-9 {
+		t.Fatalf("oracle MBS loss %g vs full %g", lossRef, lossFull)
+	}
 
-		m := build()
-		expectOracleMatch(t, m, x, labels, sub, lossRef, ref, eng.String()+" no plan")
-		for _, budget := range []int64{minGroupBudget(t, m, x.Shape, sub), 1 << 30} {
-			plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetMBSPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-			expectOracleMatch(t, m, x, labels, sub, lossRef, ref, eng.String()+" "+plan.Summary())
-			for _, p := range m.Params() {
-				if d := p.Grad.MaxAbsDiff(refFull[p.Name]); d > 1e-9 {
-					t.Errorf("%s groups=%d: %s differs from full-batch by %g", eng, len(plan.Groups), p.Name, d)
-				}
+	m := build()
+	expectOracleMatch(t, m, x, labels, sub, lossRef, ref, "no plan")
+	for _, budget := range []int64{minGroupBudget(t, m, x.Shape, sub), 1 << 30} {
+		plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetMBSPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		expectOracleMatch(t, m, x, labels, sub, lossRef, ref, plan.Summary())
+		for _, p := range m.Params() {
+			if d := p.Grad.MaxAbsDiff(refFull[p.Name]); d > 1e-9 {
+				t.Errorf("groups=%d: %s differs from full-batch by %g", len(plan.Groups), p.Name, d)
 			}
 		}
 	}
@@ -192,7 +180,6 @@ func TestGroupedMBSResidualEquivalence(t *testing.T) {
 // grouped executor: BN statistics span the mini-batch, so the grouped
 // sub-batch flow must NOT reproduce full-batch gradients.
 func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	rng := rand.New(rand.NewSource(34))
 	m := BuildSmallResNet(rng, 3, 16, 8, NormBatch, 0)
 	x := tensor.New(8, 3, 16, 16)
@@ -250,7 +237,6 @@ func TestMBSPlanRefusesBatchNormRecompute(t *testing.T) {
 // re-install its arena views — whole optimizer trajectories stay bit-equal
 // to the oracle's interleaving.
 func TestGroupedMBSTrainStepInterleaving(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	a, x, labels := buildTestModel(35)
 	b, _, _ := buildTestModel(35)
 	const sub = 3
@@ -289,7 +275,6 @@ func TestGroupedMBSTrainStepInterleaving(t *testing.T) {
 // keeps both bit-identical to the oracle, the installed plan stays, and
 // only one single-group executor is kept, rebuilt when the call changes.
 func TestGroupedMBSFallback(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	m, x, labels := buildTestModel(36)
 	plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: minGroupBudget(t, m, x.Shape, 3)})
 	if err != nil {
@@ -331,7 +316,6 @@ func TestGroupedMBSFallback(t *testing.T) {
 // TestGroupedMBSSubBatchRule: both entry points treat a sub-batch <= 0 or
 // above the batch size as the whole batch.
 func TestGroupedMBSSubBatchRule(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	oracle, x, labels := buildTestModel(39)
 	n := x.Shape[0]
 	lossRef := mbsOracle(oracle, x, labels, n)
@@ -381,7 +365,6 @@ func (c countingLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // delegating wrappers after warm-up routes every call through them without
 // changing a bit.
 func TestGroupedMBSSingleGroupThroughWrappers(t *testing.T) {
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	oracle, x, labels := buildTestModel(40)
 	lossRef := mbsOracle(oracle, x, labels, 3)
 	ref := grabGrads(oracle)
@@ -410,7 +393,6 @@ func TestGroupedMBSZeroAlloc(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
 	defer tensor.SetThreads(tensor.SetThreads(1))
 
 	cases := []struct {

@@ -58,6 +58,17 @@ func TestConv2DGradients(t *testing.T) {
 	numericGradCheck(t, "conv", layer, x, rng)
 }
 
+// TestSmallCNNGradients checks the whole Fig. 6 model — every layer's
+// backward chained through the persistent buffers the training path reuses —
+// against central differences.
+func TestSmallCNNGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	m := BuildSmallCNN(rng, 3, 16, 8, NormGroup, 8)
+	x := tensor.New(2, 3, 16, 16)
+	x.Randn(rng, 1)
+	numericGradCheck(t, "smallcnn", m.Net, x, rng)
+}
+
 func TestLinearGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	layer := NewLinear("l", rng, 6, 4)
@@ -99,7 +110,8 @@ func TestReLUForwardBackward(t *testing.T) {
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	// Uniform logits: loss = log(K), gradient rows sum to 0.
 	logits := tensor.New(2, 4)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{1, 3})
+	grad := tensor.New(2, 4)
+	loss := softmaxCrossEntropyInto(grad, logits, []int{1, 3})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Errorf("loss = %f, want log4 = %f", loss, math.Log(4))
 	}
@@ -120,7 +132,8 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 
 func TestSoftmaxNumericallyStable(t *testing.T) {
 	logits := tensor.FromSlice([]float64{1e4, -1e4, 0, 1e4}, 1, 4)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	grad := tensor.New(1, 4)
+	loss := softmaxCrossEntropyInto(grad, logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Errorf("unstable loss %f", loss)
 	}

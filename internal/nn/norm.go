@@ -20,7 +20,7 @@ type BatchNorm2D struct {
 	x            *tensor.Tensor
 	xhat         *tensor.Tensor
 	mean, invStd []float64
-	out          outBufs // persistent GEMM-engine buffers
+	out          outBufs // persistent forward-output buffers
 	dx           *tensor.Tensor
 	// LastPreActMean records the mean of the normalized output (the
 	// "pre-activation mean" curve of Fig. 6's right panels).
@@ -50,12 +50,7 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	validateShape(x, 4, "BatchNorm2D")
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	var out *tensor.Tensor
-	if reuseBuffers() {
-		out = ensureLike(b.out.sel(train), x)
-	} else {
-		out = tensor.New(x.Shape...)
-	}
+	out := ensureLike(b.out.sel(train), x)
 	if !train {
 		for ni := 0; ni < n; ni++ {
 			for ci := 0; ci < c; ci++ {
@@ -73,17 +68,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	b.x = x
-	if reuseBuffers() {
-		if len(b.mean) != c {
-			b.mean = make([]float64, c)
-			b.invStd = make([]float64, c)
-		}
-		b.xhat = ensureLike(&b.xhat, x)
-	} else {
+	if len(b.mean) != c {
 		b.mean = make([]float64, c)
 		b.invStd = make([]float64, c)
-		b.xhat = tensor.New(x.Shape...)
 	}
+	b.xhat = ensureLike(&b.xhat, x)
 	cnt := float64(n * h * w)
 	for ci := 0; ci < c; ci++ {
 		var sum float64
@@ -128,12 +117,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward computes BN gradients (standard reduction over batch+spatial).
 func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := dy.Shape[0], dy.Shape[1], dy.Shape[2], dy.Shape[3]
-	var dx *tensor.Tensor
-	if reuseBuffers() {
-		dx = ensureLike(&b.dx, dy) // fully overwritten below
-	} else {
-		dx = tensor.New(dy.Shape...)
-	}
+	dx := ensureLike(&b.dx, dy) // fully overwritten below
 	cnt := float64(n * h * w)
 	for ci := 0; ci < c; ci++ {
 		var sumDy, sumDyXhat float64
@@ -176,7 +160,7 @@ type GroupNorm struct {
 	x           *tensor.Tensor
 	xhat        *tensor.Tensor
 	invStd      []float64 // per (sample, group)
-	out         outBufs   // persistent GEMM-engine buffers
+	out         outBufs   // persistent forward-output buffers
 	dx          *tensor.Tensor
 	// LastPreActMean mirrors BatchNorm2D's Fig. 6 instrumentation.
 	LastPreActMean float64
@@ -203,24 +187,14 @@ func NewGroupNorm(name string, c, groups int) *GroupNorm {
 func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	validateShape(x, 4, "GroupNorm")
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	var out *tensor.Tensor
-	if reuseBuffers() {
-		out = ensureLike(gn.out.sel(train), x)
-	} else {
-		out = tensor.New(x.Shape...)
-	}
+	out := ensureLike(gn.out.sel(train), x)
 	cpg := c / gn.Groups
 	hw := h * w
 	cnt := float64(cpg * hw)
 	if train {
 		gn.x = x
-		if reuseBuffers() {
-			gn.xhat = ensureLike(&gn.xhat, x)
-			if len(gn.invStd) != n*gn.Groups {
-				gn.invStd = make([]float64, n*gn.Groups)
-			}
-		} else {
-			gn.xhat = tensor.New(x.Shape...)
+		gn.xhat = ensureLike(&gn.xhat, x)
+		if len(gn.invStd) != n*gn.Groups {
 			gn.invStd = make([]float64, n*gn.Groups)
 		}
 	}
@@ -271,12 +245,7 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // channel rows (same accumulation order as the original quadruple loops).
 func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := dy.Shape[0], dy.Shape[1], dy.Shape[2], dy.Shape[3]
-	var dx *tensor.Tensor
-	if reuseBuffers() {
-		dx = ensureLike(&gn.dx, dy) // fully overwritten below
-	} else {
-		dx = tensor.New(dy.Shape...)
-	}
+	dx := ensureLike(&gn.dx, dy) // fully overwritten below
 	cpg := c / gn.Groups
 	hw := h * w
 	cnt := float64(cpg * hw)

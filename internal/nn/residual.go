@@ -17,9 +17,9 @@ type Residual struct {
 	Main     *Sequential
 	Shortcut *Sequential // nil = identity
 	post     ReLU
-	// Persistent GEMM-engine buffers: the branch merge and the summed input
-	// gradient land in reused tensors instead of per-call Clones, matching
-	// the zero-steady-state-allocation contract of the leaf layers.
+	// Persistent buffers: the branch merge and the summed input gradient
+	// land in reused tensors instead of per-call Clones, matching the
+	// zero-steady-state-allocation contract of the leaf layers.
 	sum outBufs
 	dx  *tensor.Tensor
 }
@@ -39,13 +39,8 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !m.SameShape(s) {
 		panic(fmt.Sprintf("nn: residual branch shapes differ: %v vs %v", m.Shape, s.Shape))
 	}
-	var sum *tensor.Tensor
-	if reuseBuffers() {
-		sum = ensureLike(r.sum.sel(train), m)
-		copy(sum.Data, m.Data)
-	} else {
-		sum = m.Clone()
-	}
+	sum := ensureLike(r.sum.sel(train), m)
+	copy(sum.Data, m.Data)
 	sum.AddInPlace(s)
 	return r.post.Forward(sum, train)
 }
@@ -57,23 +52,13 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // buffer the next unit's backward would otherwise clobber).
 func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	g := r.post.Backward(dy)
-	if reuseBuffers() {
-		dxMain := r.Main.Backward(g)
-		dxShort := g
-		if r.Shortcut != nil {
-			dxShort = r.Shortcut.Backward(g)
-		}
-		dx := ensureLike(&r.dx, dxMain)
-		copy(dx.Data, dxMain.Data)
-		dx.AddInPlace(dxShort)
-		return dx
-	}
-	dxMain := r.Main.Backward(g.Clone())
+	dxMain := r.Main.Backward(g)
 	dxShort := g
 	if r.Shortcut != nil {
-		dxShort = r.Shortcut.Backward(g.Clone())
+		dxShort = r.Shortcut.Backward(g)
 	}
-	dx := dxMain.Clone()
+	dx := ensureLike(&r.dx, dxMain)
+	copy(dx.Data, dxMain.Data)
 	dx.AddInPlace(dxShort)
 	return dx
 }

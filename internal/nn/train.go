@@ -8,15 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss over a batch of
-// logits [N, K] with integer labels, returning the loss and dLogits.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape[0], logits.Shape[1])
-	return softmaxCrossEntropyInto(grad, logits, labels), grad
-}
-
-// softmaxCrossEntropyInto writes dLogits into a preallocated grad tensor
-// and returns the loss (the buffer-reusing path of the GEMM engine).
+// softmaxCrossEntropyInto computes the mean cross-entropy loss over a
+// batch of logits [N, K] with integer labels: it writes dLogits into a
+// preallocated grad tensor and returns the loss.
 func softmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 {
 	n, k := logits.Shape[0], logits.Shape[1]
 	if len(labels) != n {
@@ -75,7 +69,7 @@ type Model struct {
 	Net *Sequential
 
 	params   []*Param       // memoized: Sequential.Params allocates per call
-	lossGrad *tensor.Tensor // reused dLogits buffer (GEMM engine)
+	lossGrad *tensor.Tensor // reused dLogits buffer
 	fp16     []*Linear      // layers on the fp16-weight path (see fp16.go)
 	mbs      *mbsExec       // executor of the installed plan (see mbsexec.go), nil = none
 	single   *mbsExec       // single-group executor of the last uncovered call
@@ -94,11 +88,8 @@ func (m *Model) Params() []*Param {
 // Loss runs a forward pass and the loss on a full batch.
 func (m *Model) Loss(x *tensor.Tensor, labels []int, train bool) (float64, *tensor.Tensor) {
 	logits := m.Net.Forward(x, train)
-	if reuseBuffers() {
-		grad := ensure2(&m.lossGrad, logits.Shape[0], logits.Shape[1])
-		return softmaxCrossEntropyInto(grad, logits, labels), grad
-	}
-	return SoftmaxCrossEntropy(logits, labels)
+	grad := ensure2(&m.lossGrad, logits.Shape[0], logits.Shape[1])
+	return softmaxCrossEntropyInto(grad, logits, labels), grad
 }
 
 // zeroGrads clears the memoized parameter gradients.

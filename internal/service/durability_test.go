@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/bus"
 )
 
 // submitJob posts a v2 job and returns its id.
@@ -95,6 +96,64 @@ func TestShardedSweepMatchesV1(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("result endpoint differs from /v1/run\ngot:  %.200s", buf.Bytes())
+	}
+}
+
+// TestShardedSweepCellEventsCarryGlobalIndex: a sharded sweep job's
+// sweep.cell bus events number each cell the way the job's NDJSON stream
+// does — by its index in the whole job, not in its shard.
+func TestShardedSweepCellEventsCarryGlobalIndex(t *testing.T) {
+	// 5 buffer cells at 2 cells/shard → 3 shards.
+	svc, ts := newTestServer(t, Config{JobShardCells: 2})
+	// The queue holds every cell event of the job, so none is dropped.
+	sub, err := svc.Bus().Subscribe(bus.SubOptions{Topics: []string{bus.TopicSweepCell}, Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	id := submitJob(t, ts, `{"scenario":"sweep","params":{"axes":"buffer"}}`)
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streamed := map[int]string{}
+	for dec := json.NewDecoder(resp.Body); ; {
+		var ev api.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("stream decode: %v", err)
+		}
+		if ev.Type == "cell" {
+			streamed[ev.Index] = ev.Cell
+		}
+		if ev.Type == "done" {
+			break
+		}
+	}
+	if len(streamed) != 5 {
+		t.Fatalf("stream delivered %d distinct cells, want 5", len(streamed))
+	}
+
+	// Every cell is published before its shard completes, so all of them
+	// are queued by the time the stream has closed.
+	published := map[int]string{}
+	for len(published) < len(streamed) {
+		select {
+		case ev := <-sub.C():
+			c := ev.Data.(bus.SweepCell)
+			if prev, dup := published[c.Index]; dup {
+				t.Fatalf("sweep.cell index %d published twice (cells %q and %q)", c.Index, prev, c.Cell)
+			}
+			published[c.Index] = c.Cell
+		case <-time.After(10 * time.Second):
+			t.Fatalf("got %d sweep.cell events, want %d", len(published), len(streamed))
+		}
+	}
+	for i, cell := range streamed {
+		if published[i] != cell {
+			t.Errorf("index %d: stream has cell %q, sweep.cell event has %q", i, cell, published[i])
+		}
 	}
 }
 

@@ -319,7 +319,7 @@ func (s *Server) execJob(ctx context.Context, req api.JobRequest, emit func(int,
 	if !ok {
 		return nil, unknownScenario(req.Scenario) // unreachable: validated at submit
 	}
-	ctx = sweep.WithCellObserver(ctx, func(i int, cell sweep.Cell, row sweep.Row) {
+	ctx = sweep.WithCellObserver(ctx, 0, func(i int, cell sweep.Cell, row sweep.Row) {
 		emit(i, cell.String(), row)
 	})
 	data, err := sc.Run(ctx, s.runner, experiments.Params(req.Params), nil)
@@ -360,8 +360,9 @@ func (s *Server) planJob(req api.JobRequest) []store.Span {
 // execShard runs one planned shard: the sweep cells in span, re-derived
 // from the params (cell order is a pure function of them, so a shard
 // re-executed after a crash or lost lease computes the same cells). Cells
-// are emitted at their job-global indices; the shard result is the rows
-// JSON the assembler concatenates.
+// are numbered from span.Lo, so the job stream and the sweep.cell bus
+// events both carry job-global indices; the shard result is the rows JSON
+// the assembler concatenates.
 func (s *Server) execShard(ctx context.Context, req api.JobRequest, span store.Span, emit func(int, string, any)) ([]byte, error) {
 	cells, err := experiments.SweepCells(experiments.Params(req.Params))
 	if err != nil {
@@ -371,8 +372,8 @@ func (s *Server) execShard(ctx context.Context, req api.JobRequest, span store.S
 		return nil, fmt.Errorf("shard span [%d,%d) out of range for %d cells", span.Lo, span.Hi, len(cells))
 	}
 	sub := cells[span.Lo:span.Hi]
-	ctx = sweep.WithCellObserver(ctx, func(i int, cell sweep.Cell, row sweep.Row) {
-		emit(span.Lo+i, cell.String(), row)
+	ctx = sweep.WithCellObserver(ctx, span.Lo, func(i int, cell sweep.Cell, row sweep.Row) {
+		emit(i, cell.String(), row)
 	})
 	results, err := s.engine.SimulateGrid(ctx, sub)
 	if err != nil {
@@ -425,7 +426,6 @@ func (s *Server) Stats() api.Stats {
 		Cancelled:   s.cancelled.Load(),
 		Jobs:        js,
 		Engine: api.EngineStats{
-			Kernel:     tensor.CurrentEngine().String(),
 			Threads:    tensor.Threads(),
 			GemmConfig: tensor.CurrentKernelConfig().String(),
 			Autotuned:  tensor.Autotuned() != nil,

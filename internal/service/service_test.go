@@ -644,9 +644,6 @@ func TestInferEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Kernel != "gemm" {
-		t.Errorf("engine.kernel = %q, want gemm", st.Engine.Kernel)
-	}
 	if st.Engine.Threads < 1 {
 		t.Errorf("engine.threads = %d", st.Engine.Threads)
 	}

@@ -278,30 +278,36 @@ func (e *Engine) Simulate(ctx context.Context, cell Cell) (*sim.Result, error) {
 
 // CellObserver receives each completed grid cell as soon as its simulation
 // finishes. Callbacks arrive from worker goroutines in completion order —
-// not cell order — and must be safe for concurrent use; index identifies the
-// cell's position in the submitted grid.
+// not cell order — and must be safe for concurrent use; index is the cell's
+// global index (see WithCellObserver).
 type CellObserver func(index int, cell Cell, row Row)
+
+// cellHook is what WithCellObserver stores: the observer and the global
+// index of the grid's first cell.
+type cellHook struct {
+	first int
+	obs   CellObserver
+}
 
 type observerKey struct{}
 
 // WithCellObserver returns a context that makes SimulateGrid report every
 // completed cell to obs. This is the streaming hook: a long sweep's rows can
-// be delivered incrementally while the grid is still running.
-func WithCellObserver(ctx context.Context, obs CellObserver) context.Context {
-	return context.WithValue(ctx, observerKey{}, obs)
-}
-
-// cellObserver extracts the observer installed by WithCellObserver, if any.
-func cellObserver(ctx context.Context) CellObserver {
-	obs, _ := ctx.Value(observerKey{}).(CellObserver)
-	return obs
+// be delivered incrementally while the grid is still running. first is the
+// global index of the grid's first cell: 0 for a whole grid, the offset of
+// the slice when the grid is one shard of a larger sweep. SimulateGrid adds
+// it to the index it hands obs and to the index of every sweep.cell bus
+// event, so both number a cell the same way.
+func WithCellObserver(ctx context.Context, first int, obs CellObserver) context.Context {
+	return context.WithValue(ctx, observerKey{}, cellHook{first: first, obs: obs})
 }
 
 // SimulateGrid simulates every cell concurrently, returning results in cell
 // order. If ctx carries a CellObserver, each completed cell is reported to
 // it as it finishes.
 func (e *Engine) SimulateGrid(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
-	obs := cellObserver(ctx)
+	hook, _ := ctx.Value(observerKey{}).(cellHook)
+	obs, first := hook.obs, hook.first
 	return Map(ctx, e, len(cells), func(ctx context.Context, i int) (*sim.Result, error) {
 		r, err := e.Simulate(ctx, cells[i])
 		if err == nil {
@@ -315,12 +321,12 @@ func (e *Engine) SimulateGrid(ctx context.Context, cells []Cell) ([]*sim.Result,
 			if obs != nil || busWants {
 				row := RowOf(cells[i], r)
 				if obs != nil {
-					obs(i, cells[i], row)
+					obs(first+i, cells[i], row)
 				}
 				if busWants {
 					raw, _ := json.Marshal(row) // a Row always marshals
 					b.Publish(bus.TopicSweepCell, bus.SweepCell{
-						Index: i, Cell: cells[i].String(), Row: raw,
+						Index: first + i, Cell: cells[i].String(), Row: raw,
 					})
 				}
 			}

@@ -313,7 +313,7 @@ func TestSimulateGridObserver(t *testing.T) {
 	cells := grid.Cells()
 	var mu sync.Mutex
 	seen := make(map[int]Row)
-	ctx := WithCellObserver(context.Background(), func(i int, cell Cell, row Row) {
+	ctx := WithCellObserver(context.Background(), 0, func(i int, cell Cell, row Row) {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, dup := seen[i]; dup {

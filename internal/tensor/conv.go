@@ -16,7 +16,7 @@ func (s ConvSpec) OutDims(h, w int) (oh, ow int) {
 	return (h+2*s.PadH-s.KH)/s.StrideH + 1, (w+2*s.PadW-s.KW)/s.StrideW + 1
 }
 
-// Conv2D computes a 2-D convolution with the currently selected Engine.
+// Conv2D computes a 2-D convolution as im2col + blocked GEMM.
 // x: [N, InC, H, W], weight: [OutC, InC, KH, KW], bias: [OutC] (may be nil).
 // Returns [N, OutC, OH, OW].
 func Conv2D(x, weight, bias *Tensor, s ConvSpec) *Tensor {
@@ -27,17 +27,13 @@ func Conv2D(x, weight, bias *Tensor, s ConvSpec) *Tensor {
 }
 
 // Conv2DInto computes the convolution into a preallocated out tensor
-// (overwriting it), dispatching on the current Engine. Reusing out across
-// steps is what lets steady-state training run allocation-free.
+// (overwriting it). Reusing out across steps is what lets steady-state
+// training run allocation-free.
 func Conv2DInto(out, x, weight, bias *Tensor, s ConvSpec) {
 	n := x.Shape[0]
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
 	if out.Shape[0] != n || out.Shape[1] != s.OutC || out.Shape[2] != oh || out.Shape[3] != ow {
 		panic(fmt.Sprintf("tensor: conv out shape %v, want [%d %d %d %d]", out.Shape, n, s.OutC, oh, ow))
-	}
-	if CurrentEngine() == EngineNaive {
-		conv2DNaiveInto(out, x, weight, bias, s)
-		return
 	}
 	conv2DGEMM(out, x, weight, bias, s)
 }
@@ -86,8 +82,8 @@ func conv2DNaiveInto(out, x, weight, bias *Tensor, s ConvSpec) {
 	}
 }
 
-// Conv2DBackward computes the gradients of a convolution with the currently
-// selected Engine. Returns dx [N,InC,H,W], dw [OutC,InC,KH,KW], db [OutC].
+// Conv2DBackward computes the gradients of a convolution with the GEMM
+// kernels. Returns dx [N,InC,H,W], dw [OutC,InC,KH,KW], db [OutC].
 func Conv2DBackward(x, weight, dy *Tensor, s ConvSpec) (dx, dw, db *Tensor) {
 	dx = New(x.Shape...)
 	dw = New(s.OutC, s.InC, s.KH, s.KW)
@@ -102,10 +98,6 @@ func Conv2DBackward(x, weight, dy *Tensor, s ConvSpec) (dx, dw, db *Tensor) {
 // buffers without an intermediate tensor.
 func Conv2DBackwardInto(dx, dwAcc, dbAcc, x, weight, dy *Tensor, s ConvSpec) {
 	validateConvBackward(dx, dwAcc, dbAcc, x, weight, dy, s)
-	if CurrentEngine() == EngineNaive {
-		conv2DNaiveBackwardInto(dx, dwAcc, dbAcc, x, weight, dy, s)
-		return
-	}
 	conv2DBackwardGEMM(dx, dwAcc, dbAcc, x, weight, dy, nil, s)
 }
 
@@ -113,8 +105,7 @@ func Conv2DBackwardInto(dx, dwAcc, dbAcc, x, weight, dy *Tensor, s ConvSpec) {
 // the forward pass retained via Conv2DFusedColInto (col must be the same
 // buffer, still valid for the same x): the backward GEMMs consume it
 // directly instead of re-lowering x — the step's second full pass over the
-// input becomes a no-op. GEMM engine only; results are bit-identical to
-// Conv2DBackwardInto.
+// input becomes a no-op. Results are bit-identical to Conv2DBackwardInto.
 func Conv2DBackwardColInto(dx, dwAcc, dbAcc *Tensor, col []float64, x, weight, dy *Tensor, s ConvSpec) {
 	validateConvBackward(dx, dwAcc, dbAcc, x, weight, dy, s)
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])

@@ -32,10 +32,9 @@ func randomConvCase(rng *rand.Rand) (x, w, b *Tensor, s ConvSpec) {
 	return x, w, b, s
 }
 
-// TestGEMMForwardMatchesNaive pins the GEMM engine's forward pass against
-// the naive oracle across randomized geometries (run under -race in CI).
+// TestGEMMForwardMatchesNaive pins the GEMM forward pass against the naive
+// oracle across randomized geometries (run under -race in CI).
 func TestGEMMForwardMatchesNaive(t *testing.T) {
-	defer SetEngine(SetEngine(EngineGEMM))
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		x, w, b, s := randomConvCase(rng)
@@ -56,7 +55,6 @@ func TestGEMMForwardMatchesNaive(t *testing.T) {
 // TestGEMMBackwardMatchesNaive pins all three GEMM gradients (dx, dw, db)
 // against the naive oracle across randomized geometries.
 func TestGEMMBackwardMatchesNaive(t *testing.T) {
-	defer SetEngine(SetEngine(EngineGEMM))
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
 		x, w, b, s := randomConvCase(rng)
@@ -84,11 +82,10 @@ func TestGEMMBackwardMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGEMMDeterministicAcrossThreadCounts: the engine's documented contract
+// TestGEMMDeterministicAcrossThreadCounts: the kernels' documented contract
 // is that thread count only partitions independent work, so results are
 // bit-identical for any -threads setting.
 func TestGEMMDeterministicAcrossThreadCounts(t *testing.T) {
-	defer SetEngine(SetEngine(EngineGEMM))
 	rng := rand.New(rand.NewSource(13))
 	x, w, b, s := randomConvCase(rng)
 	y := Conv2D(x, w, b, s)
@@ -128,7 +125,6 @@ func TestGEMMDeterministicAcrossThreadCounts(t *testing.T) {
 // TestConvBackwardIntoAccumulates: dw/db are += targets (gradient
 // accumulation lands directly in trainer buffers), dx is overwritten.
 func TestConvBackwardIntoAccumulates(t *testing.T) {
-	defer SetEngine(SetEngine(EngineGEMM))
 	rng := rand.New(rand.NewSource(14))
 	x, w, b, s := randomConvCase(rng)
 	y := Conv2DNaive(x, w, b, s)
@@ -237,19 +233,6 @@ func TestMatMulBlockedLarge(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the flag-value round trip.
-func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{EngineNaive, EngineGEMM} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := ParseEngine("cuda"); err == nil {
-		t.Error("ParseEngine should reject unknown engines")
-	}
-}
-
 // TestKernelSteadyStateAllocs is the allocation regression test: with
 // preallocated outputs and a warm scratch arena, the GEMM kernels and
 // MatMulInto perform zero heap allocations per step (single-threaded, so
@@ -258,7 +241,6 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	defer SetEngine(SetEngine(EngineGEMM))
 	defer SetThreads(SetThreads(1))
 	rng := rand.New(rand.NewSource(17))
 

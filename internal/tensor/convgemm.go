@@ -1,7 +1,7 @@
 package tensor
 
-// GEMM-backed convolution kernels (EngineGEMM). A convolution over sample n
-// lowers to
+// GEMM-backed convolution kernels, the only convolution path at run time.
+// A convolution over sample n lowers to
 //
 //	forward:   out_n[OutC, M]  = W[OutC, K] * col_n[K, M] + bias
 //	weights:   dw   [OutC, K] += dy_n[OutC, M] * col_n[K, M]^T

@@ -2,13 +2,14 @@ package tensor
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
 
-// KernelConfig is the runtime tuning surface of the blocked GEMM engine:
+// KernelConfig is the runtime tuning surface of the blocked GEMM kernels:
 // the panel blocking of B and the register micro-tile shape. It is
-// process-wide (like Engine and Threads) and read once per kernel entry.
+// process-wide (like Threads) and read once per kernel entry.
 //
 // Determinism contract: NC and MR/NR only move work between registers and
 // cache levels — every output element's additions stay in ascending depth
@@ -86,25 +87,31 @@ func SetBlocking(kc, nc int) (KernelConfig, error) {
 }
 
 // ParseKernelConfig parses the -gemm-block flag syntax: "KCxNC" or
-// "KCxNC:MRxNR" (e.g. "256x512" or "256x1024:2x8"). Empty fields keep the
-// current value: "x1024" tunes nc only.
+// "KCxNC:MRxNR" (e.g. "256x512" or "256x1024:2x8"). An empty KC or NC keeps
+// the current value ("x1024" tunes NC only); the micro-tile needs both
+// fields. Each field must be a whole decimal number: trailing text or a
+// second ':' is an error, not ignored, because a misread KC would silently
+// change output bits. On error it returns the current configuration.
 func ParseKernelConfig(s string) (KernelConfig, error) {
 	c := CurrentKernelConfig()
-	block := s
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		block = s[:i]
-		mr, nr, err := parsePair(s[i+1:], "micro-tile")
-		if err != nil {
-			return c, err
+	block, tile, hasTile := strings.Cut(s, ":")
+	if hasTile {
+		mr, nr, ok := strings.Cut(tile, "x")
+		var err1, err2 error
+		c.MR, err1 = strconv.Atoi(mr)
+		c.NR, err2 = strconv.Atoi(nr)
+		if !ok || err1 != nil || err2 != nil {
+			return CurrentKernelConfig(), fmt.Errorf("tensor: bad micro-tile %q (want MRxNR)", tile)
 		}
-		c.MR, c.NR = mr, nr
 	}
 	if block != "" {
-		kc, nc, err := parsePairOpt(block, c.KC, c.NC)
-		if err != nil {
-			return c, err
+		kc, nc, ok := strings.Cut(block, "x")
+		var err1, err2 error
+		c.KC, err1 = atoiOr(kc, c.KC)
+		c.NC, err2 = atoiOr(nc, c.NC)
+		if !ok || err1 != nil || err2 != nil {
+			return CurrentKernelConfig(), fmt.Errorf("tensor: bad blocking %q (want KCxNC)", block)
 		}
-		c.KC, c.NC = kc, nc
 	}
 	if err := c.validate(); err != nil {
 		return CurrentKernelConfig(), err
@@ -112,29 +119,10 @@ func ParseKernelConfig(s string) (KernelConfig, error) {
 	return c, nil
 }
 
-func parsePair(s, what string) (int, int, error) {
-	var a, b int
-	if _, err := fmt.Sscanf(s, "%dx%d", &a, &b); err != nil {
-		return 0, 0, fmt.Errorf("tensor: bad %s %q (want AxB)", what, s)
+// atoiOr parses s as a decimal integer, or returns def when s is empty.
+func atoiOr(s string, def int) (int, error) {
+	if s == "" {
+		return def, nil
 	}
-	return a, b, nil
-}
-
-func parsePairOpt(s string, defA, defB int) (int, int, error) {
-	i := strings.IndexByte(s, 'x')
-	if i < 0 {
-		return 0, 0, fmt.Errorf("tensor: bad blocking %q (want KCxNC)", s)
-	}
-	a, b := defA, defB
-	if s[:i] != "" {
-		if _, err := fmt.Sscanf(s[:i], "%d", &a); err != nil {
-			return 0, 0, fmt.Errorf("tensor: bad blocking %q: %v", s, err)
-		}
-	}
-	if s[i+1:] != "" {
-		if _, err := fmt.Sscanf(s[i+1:], "%d", &b); err != nil {
-			return 0, 0, fmt.Errorf("tensor: bad blocking %q: %v", s, err)
-		}
-	}
-	return a, b, nil
+	return strconv.Atoi(s)
 }

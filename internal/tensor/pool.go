@@ -1,20 +1,8 @@
 package tensor
 
-// MaxPool2D computes max pooling with a k x k window and the given stride.
-// Returns the output and the argmax index map (into the input's flat data)
-// used by the backward pass.
-func MaxPool2D(x *Tensor, k, stride int) (*Tensor, []int) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-k)/stride + 1
-	ow := (w-k)/stride + 1
-	out := New(n, c, oh, ow)
-	arg := make([]int, out.Len())
-	MaxPool2DInto(out, arg, x, k, stride)
-	return out, arg
-}
-
-// MaxPool2DInto pools into preallocated out and arg buffers (buffer-reusing
-// training paths).
+// MaxPool2DInto computes max pooling with a k x k window and the given
+// stride into preallocated out and arg buffers; arg receives each output's
+// argmax index (into x's flat data) for the backward pass.
 func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, k, stride int) {
 	n, c := x.Shape[0], x.Shape[1]
 	oh, ow := out.Shape[2], out.Shape[3]
@@ -42,13 +30,6 @@ func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, k, stride int) {
 	}
 }
 
-// MaxPool2DBackward scatters dy through the argmax map.
-func MaxPool2DBackward(dy *Tensor, arg []int, inShape []int) *Tensor {
-	dx := New(inShape...)
-	MaxPool2DBackwardInto(dx, dy, arg)
-	return dx
-}
-
 // MaxPool2DBackwardInto scatters dy through the argmax map into a
 // preallocated dx (overwritten).
 func MaxPool2DBackwardInto(dx, dy *Tensor, arg []int) {
@@ -58,14 +39,7 @@ func MaxPool2DBackwardInto(dx, dy *Tensor, arg []int) {
 	}
 }
 
-// GlobalAvgPool reduces [N,C,H,W] to [N,C].
-func GlobalAvgPool(x *Tensor) *Tensor {
-	out := New(x.Shape[0], x.Shape[1])
-	GlobalAvgPoolInto(out, x)
-	return out
-}
-
-// GlobalAvgPoolInto reduces into a preallocated [N,C] out tensor.
+// GlobalAvgPoolInto reduces [N,C,H,W] into a preallocated [N,C] out tensor.
 func GlobalAvgPoolInto(out, x *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	inv := 1.0 / float64(h*w)
@@ -80,13 +54,6 @@ func GlobalAvgPoolInto(out, x *Tensor) {
 			out.Data[ni*c+ci] = s * inv
 		}
 	}
-}
-
-// GlobalAvgPoolBackward broadcasts dy [N,C] back to [N,C,H,W].
-func GlobalAvgPoolBackward(dy *Tensor, inShape []int) *Tensor {
-	dx := New(inShape...)
-	GlobalAvgPoolBackwardInto(dx, dy)
-	return dx
 }
 
 // GlobalAvgPoolBackwardInto broadcasts dy [N,C] into a preallocated dx

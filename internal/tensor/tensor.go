@@ -4,10 +4,11 @@
 // arithmetic is a property of the accelerator model, not of the algorithmic
 // equivalence this engine demonstrates.
 //
-// Compute kernels are pluggable (see Engine): the default EngineGEMM lowers
-// convolutions to im2col + cache-blocked goroutine-parallel GEMM with a
-// pooled scratch arena, while EngineNaive keeps the direct reference loops
-// as the correctness oracle.
+// Every convolution runs as im2col + cache-blocked goroutine-parallel GEMM
+// with a pooled scratch arena (the formulation the paper's WaveCore
+// executes, Tab. 1). The direct loops of Conv2DNaive and
+// Conv2DBackwardNaive are kept only as the reference the tests compare the
+// GEMM kernels against; nothing at run time calls them.
 package tensor
 
 import (

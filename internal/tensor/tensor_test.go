@@ -198,7 +198,9 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	y, arg := MaxPool2D(x, 2, 2)
+	y := New(1, 1, 2, 2)
+	arg := make([]int, y.Len())
+	MaxPool2DInto(y, arg, x, 2, 2)
 	want := []float64{6, 8, 14, 16}
 	for i, v := range want {
 		if y.Data[i] != v {
@@ -206,7 +208,9 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		}
 	}
 	dy := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	dx := MaxPool2DBackward(dy, arg, x.Shape)
+	dx := New(x.Shape...)
+	dx.Fill(99) // must be fully overwritten
+	MaxPool2DBackwardInto(dx, dy, arg)
 	if dx.At4(0, 0, 1, 1) != 1 || dx.At4(0, 0, 3, 3) != 4 {
 		t.Errorf("scatter wrong: %v", dx.Data)
 	}
@@ -224,12 +228,14 @@ func TestGlobalAvgPool(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	y := GlobalAvgPool(x)
+	y := New(1, 2)
+	GlobalAvgPoolInto(y, x)
 	if y.Data[0] != 1.5 || y.Data[1] != 5.5 {
 		t.Errorf("gap = %v", y.Data)
 	}
 	dy := FromSlice([]float64{4, 8}, 1, 2)
-	dx := GlobalAvgPoolBackward(dy, x.Shape)
+	dx := New(x.Shape...)
+	GlobalAvgPoolBackwardInto(dx, dy)
 	if dx.Data[0] != 1 || dx.Data[4] != 2 {
 		t.Errorf("gap bwd = %v", dx.Data)
 	}
