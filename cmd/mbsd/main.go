@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/infer"
-	"repro/internal/nn"
 	"repro/internal/service"
 	"repro/internal/tensor"
 )
@@ -66,8 +65,6 @@ func main() {
 		"shed inference requests with 429 + Retry-After when the queue is full (false = block senders)")
 	gemmBlock := flag.String("gemm-block", "",
 		"GEMM blocking KCxNC or KCxNC:MRxNR (empty = startup autotune; KC changes are bit-visible)")
-	mbsBudget := flag.String("mbs-cache-budget", "",
-		"cache budget for the MBS executor plan reported by /v1/stats, e.g. 2MiB (empty = autodetect)")
 	eventRing := flag.Int("event-ring", 0,
 		"retained events for /v2/events replay and Last-Event-ID resume (0 = 256, negative = no retention)")
 	eventHeartbeat := flag.Duration("event-heartbeat", 0,
@@ -108,25 +105,16 @@ func main() {
 	} else {
 		log.Printf("mbsd: gemm autotune %s", tensor.Autotune())
 	}
-	var mbsBudgetBytes int64
-	if *mbsBudget != "" {
-		b, err := nn.ParseByteSize(*mbsBudget)
-		if err != nil {
-			log.Fatalf("mbsd: %v", err)
-		}
-		mbsBudgetBytes = b
-	}
 	svc := service.New(service.Config{
-		Workers:        *parallel,
-		CacheMaxBytes:  *cacheMB << 20,
-		MaxInFlight:    *maxInFlight,
-		InferModel:     *inferModel,
-		InferMaxBatch:  *inferBatch,
-		InferMaxDelay:  *inferDelay,
-		InferMinDelay:  *inferMinDelay,
-		InferReplicas:  *inferReplicas,
-		InferShed:      *inferShed,
-		MBSCacheBudget: mbsBudgetBytes,
+		Workers:       *parallel,
+		CacheMaxBytes: *cacheMB << 20,
+		MaxInFlight:   *maxInFlight,
+		InferModel:    *inferModel,
+		InferMaxBatch: *inferBatch,
+		InferMaxDelay: *inferDelay,
+		InferMinDelay: *inferMinDelay,
+		InferReplicas: *inferReplicas,
+		InferShed:     *inferShed,
 
 		EventRing:           *eventRing,
 		EventHeartbeat:      *eventHeartbeat,

@@ -17,12 +17,11 @@ type Stats struct {
 	Failed     int64 `json:"failed"`
 	// Cancelled counts v1 runs abandoned by their client (while queued or
 	// mid-run); v2 job cancellations are under Jobs.Cancellations.
-	Cancelled int64        `json:"cancelled"`
-	Jobs      JobStats     `json:"jobs"`
-	Cache     CacheStats   `json:"cache"`
-	Engine    EngineStats  `json:"engine"`
-	Infer     InferStats   `json:"infer"`
-	MBS       MBSPlanStats `json:"mbs_plan"`
+	Cancelled int64       `json:"cancelled"`
+	Jobs      JobStats    `json:"jobs"`
+	Cache     CacheStats  `json:"cache"`
+	Engine    EngineStats `json:"engine"`
+	Infer     InferStats  `json:"infer"`
 }
 
 // EngineStats reports the GEMM kernel configuration the inference and
@@ -32,20 +31,6 @@ type EngineStats struct {
 	GemmConfig string `json:"gemm_config"` // KCxNC:MRxNR blocking + micro-tile
 	Autotuned  bool   `json:"autotuned"`   // config chosen by tensor.Autotune
 	SIMD       bool   `json:"simd"`        // AVX2+FMA kernels active
-}
-
-// MBSPlanStats reports the MBS executor's layer grouping (the paper's
-// Sec. 3 groups) for the default Fig. 6 GN model under the server's cache
-// budget (see nn.PlanMBS).
-type MBSPlanStats struct {
-	Groups        int    `json:"groups"`
-	SubBatch      int    `json:"sub_batch"`
-	ArenaBytes    int64  `json:"arena_bytes"`  // peak planned arena across groups
-	BudgetBytes   int64  `json:"budget_bytes"` // per-group working-set cap
-	BudgetAuto    bool   `json:"budget_auto"`  // budget autodetected from CPU caches
-	BudgetSource  string `json:"budget_source,omitempty"`
-	BoundaryBytes int64  `json:"boundary_bytes"` // full-batch stash between groups
-	FullBytes     int64  `json:"full_bytes"`     // unplanned per-layer footprint
 }
 
 // CacheStats is the sweep engine cache's section of Stats.

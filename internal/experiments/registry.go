@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -103,9 +104,10 @@ func (s *Scenario) Info() api.ScenarioInfo {
 	return api.ScenarioInfo{Name: s.Name, Description: s.Description, Params: s.Params}
 }
 
-// resolve applies defaults and rejects unknown names, non-integer values
-// for int-typed params, and values outside a spec's enum — untrusted HTTP
-// input is fully validated here, before any run function executes.
+// resolve applies defaults and rejects unknown names, int-typed values that
+// are not integers or lie outside [0, intMax], and values outside a spec's
+// enum — untrusted HTTP input is fully validated here, before any run
+// function executes.
 func (s *Scenario) resolve(p Params) (Params, error) {
 	out := make(Params, len(s.Params))
 	for _, spec := range s.Params {
@@ -121,35 +123,53 @@ func (s *Scenario) resolve(p Params) (Params, error) {
 			continue // empty means "use the default" (e.g. -sweep network with no -network)
 		}
 		if spec.Type == "int" {
-			if _, err := strconv.Atoi(v); err != nil {
+			n, err := strconv.Atoi(v)
+			if err != nil {
 				return nil, paramErrf(s.Name, "scenario %s: param %s: %q is not an integer", s.Name, k, v)
+			}
+			if max := intMax[k]; n < 0 || int64(n) > max {
+				return nil, paramErrf(s.Name, "scenario %s: param %s: %d is out of range [0, %d]", s.Name, k, n, max)
 			}
 		}
 		if len(spec.Enum) > 0 {
 			values := []string{v}
 			if spec.Type == "list" {
-				values = Params{spec.Name: v}.List(spec.Name)
+				if values = (Params{spec.Name: v}).List(spec.Name); len(values) == 0 {
+					continue // separators only: as empty, the default
+				}
 			}
-			for _, val := range values {
-				if !inEnum(spec.Enum, val) {
+			for i, val := range values {
+				canon, ok := enumValue(spec.Enum, val)
+				if !ok {
 					return nil, paramErrf(s.Name, "scenario %s: param %s: unknown value %q (have %s)",
 						s.Name, k, val, strings.Join(spec.Enum, ", "))
 				}
+				values[i] = canon
 			}
+			v = strings.Join(values, ",")
 		}
 		out[k] = v
 	}
 	return out, nil
 }
 
-// inEnum matches case-insensitively, as the run functions do.
-func inEnum(enum []string, v string) bool {
+// intMax bounds the int-typed params, each a size whose zero selects a
+// default. buffer counts MiB, and beyond the largest count whose bytes fit
+// an int64 the bytes wrap (2^44 MiB became 0, the 10 MiB default). The
+// simulator's work grows linearly with batch: on a 2-core x86 host, 10^7
+// took 4.5 s and 110 MB, and 10^12 ran the process out of memory.
+var intMax = map[string]int64{"batch": 1 << 16, "buffer": math.MaxInt64 >> 20}
+
+// enumValue matches v case-insensitively and returns the enum's own
+// spelling, which the resolved params carry: some run-time lookups
+// (memsys.ByName, the models registry) are case-sensitive.
+func enumValue(enum []string, v string) (string, bool) {
 	for _, e := range enum {
 		if strings.EqualFold(e, v) {
-			return true
+			return e, true
 		}
 	}
-	return false
+	return "", false
 }
 
 func (s *Scenario) spec(name string) *api.ScenarioParam {

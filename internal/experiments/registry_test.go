@@ -222,3 +222,113 @@ func TestScenarioRunCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioRejectsOutOfRangeInt: int params that parse but lie outside
+// [0, intMax] are ParamErrors at Validate, before anything runs — a
+// negative size, a buffer whose bytes overflow or wrap to zero, a batch
+// the simulator cannot hold — while the bounds themselves are accepted.
+func TestScenarioRejectsOutOfRangeInt(t *testing.T) {
+	for _, name := range []string{"single", "sweep"} {
+		s, _ := Lookup(name)
+		for _, p := range []Params{
+			{"buffer": "-1"}, {"batch": "-1"},
+			{"buffer": "9000000000000"}, {"buffer": "17592186044416"},
+			{"batch": "65537"}, {"batch": "1000000000000"},
+		} {
+			var pe *ParamError
+			if err := s.Validate(p); !errors.As(err, &pe) || !strings.Contains(pe.Msg, "out of range") {
+				t.Errorf("%s %v: Validate = %v, want an out-of-range *ParamError", name, p, err)
+			}
+		}
+		for _, p := range []Params{{"buffer": "8796093022207"}, {"batch": "65536"}} {
+			if err := s.Validate(p); err != nil {
+				t.Errorf("%s %v: bound rejected: %v", name, p, err)
+			}
+		}
+	}
+}
+
+// TestResolveCanonicalizesEnums: enum values match case-insensitively and
+// resolve to the enum's own spelling, so a value Validate accepts is one
+// the case-sensitive lookups behind the run functions find.
+func TestResolveCanonicalizesEnums(t *testing.T) {
+	s, _ := Lookup("sweep")
+	p, err := s.resolve(Params{"memory": "hbm2", "network": "ResNet50", "axes": " Config ,batch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p["memory"] != "HBM2" || p["network"] != "resnet50" || p["axes"] != "config,batch" {
+		t.Errorf("resolved %v, want the enums' spellings", p)
+	}
+	if p, err = s.resolve(Params{"axes": " , "}); err != nil || p["axes"] != "buffer" {
+		t.Errorf("separator-only list resolved to %q (err %v), want the default", p["axes"], err)
+	}
+}
+
+// FuzzScenarioParams: Validate never panics on any scenario and any
+// key/value pairs, and every error it returns is a *ParamError naming the
+// scenario. For single and sweep, an accepted set builds its cells, each
+// with the params' batch and buffer MiB count intact unless that axis is
+// swept.
+func FuzzScenarioParams(f *testing.F) {
+	index := func(name string) uint8 {
+		for i, n := range Names() {
+			if n == name {
+				return uint8(i)
+			}
+		}
+		f.Fatalf("no scenario %s", name)
+		return 0
+	}
+	single, sweepIdx := index("single"), index("sweep")
+	f.Add(single, "buffer", "17592186044416", "batch", "16")
+	f.Add(single, "buffer", "8796093022207", "memory", "hbm2")
+	f.Add(single, "batch", "-1", "network", "ResNet50")
+	f.Add(sweepIdx, "axes", "config,batch", "buffer", "64")
+	f.Add(sweepIdx, "axes", ",", "batch", "65536")
+	f.Add(index("fig5"), "network", "alexnet", "bogus", "1")
+	f.Add(index("fig10"), "networks", "resnet50,alexnet", "", "")
+	f.Fuzz(func(t *testing.T, idx uint8, k1, v1, k2, v2 string) {
+		s := Scenarios()[int(idx)%len(Scenarios())]
+		p := Params{k1: v1, k2: v2}
+		if err := s.Validate(p); err != nil {
+			var pe *ParamError
+			if !errors.As(err, &pe) || pe.Scenario != s.Name {
+				t.Fatalf("%s %q: Validate error %T (%v), want a *ParamError for the scenario", s.Name, p, err, err)
+			}
+			return
+		}
+		if s.Name != "single" && s.Name != "sweep" {
+			return
+		}
+		r, err := s.resolve(p)
+		if err != nil {
+			t.Fatalf("resolve after Validate: %v", err)
+		}
+		var cells []sweep.Cell
+		if s.Name == "single" {
+			var c sweep.Cell
+			c, err = cellFromParams(r)
+			cells = []sweep.Cell{c}
+		} else {
+			cells, _, err = sweepGrid(r)
+		}
+		if err != nil {
+			t.Fatalf("%s %q: accepted params build no cells: %v", s.Name, p, err)
+		}
+		swept := map[string]bool{}
+		for _, a := range r.List("axes") {
+			swept[a] = true
+		}
+		batch, _ := r.Int("batch")
+		mib, _ := r.Int("buffer")
+		for _, c := range cells {
+			if !swept["batch"] && c.Batch != batch {
+				t.Fatalf("%s %q: cell batch %d, want %d", s.Name, p, c.Batch, batch)
+			}
+			if !swept["buffer"] && (c.BufferBytes < 0 || c.BufferBytes>>20 != int64(mib)) {
+				t.Fatalf("%s %q: cell buffer %d bytes, want %d MiB", s.Name, p, c.BufferBytes, mib)
+			}
+		}
+	})
+}

@@ -7,13 +7,14 @@
 // Execution runs on a pluggable Store (see internal/jobs/store): jobs are
 // split into shards — cell ranges of a sweep grid, or one whole-job shard —
 // that a pool of workers claims under leases with heartbeat renewal. With
-// the default in-memory store this behaves exactly as a single-process
-// manager; with the journal store every submission, claim and result is
-// durable, a restarted process replays the log and re-queues non-terminal
-// work (see Manager recovery), and an expired lease (worker crash or hang)
-// returns its shard to the queue with capped exponential backoff. The
-// lease mechanics are process-agnostic, so several mbsd workers pointed at
-// one store directory divide the same queue.
+// the default store, which has no log, this behaves exactly as a
+// single-process manager; with a log (store.OpenJournal) every submission,
+// claim and result is durable, a restarted process replays the log and
+// re-queues non-terminal work (see Manager recovery), and an expired lease
+// (worker crash or hang) returns its shard to the queue with capped
+// exponential backoff. The lease mechanics are process-agnostic, so
+// several mbsd workers pointed at one store directory divide the same
+// queue.
 //
 // The manager is generic over its executor, so the HTTP surface and its
 // lifecycle semantics are testable with a fully controllable fake while the
@@ -74,9 +75,10 @@ type Config struct {
 	// (claimed, lost, requeued). Optional.
 	Bus *bus.Bus
 
-	// Store is the job/shard state backend. Nil selects the in-memory
-	// store (nothing survives restart; Close cancels live jobs). The
-	// manager owns the store and closes it on Close.
+	// Store is the job/shard state backend. Nil selects store.NewMemory(),
+	// the store without a log (nothing survives restart; Close cancels live
+	// jobs); store.OpenJournal gives one with a log. The manager owns the
+	// store and closes it on Close.
 	Store store.Store
 	// Plan splits a request into shard spans. Nil (or a nil/empty return)
 	// means one whole-job shard executed by Exec. A non-nil Plan requires

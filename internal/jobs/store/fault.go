@@ -23,21 +23,17 @@ const (
 
 // Rule is one injected fault: on the Nth call of Op (1-based; 0 matches
 // every call), stall for Stall, then either fail with Err without reaching
-// the inner store, or — when Torn is set and the inner store is journal-
-// backed — arm a torn write so the operation tears its log record mid-frame
-// exactly as a crash would.
+// the inner store, or — when the inner store is a Journal with a log — arm
+// a log fault and let the operation run into it: Torn tears its record
+// mid-frame exactly as a crash would, FailSync fails the next commit's
+// fsync.
 type Rule struct {
-	Op    Op
-	N     int
-	Err   error
-	Stall time.Duration
-	Torn  bool
-}
-
-// AppendBreaker is the hook Torn rules need: the journal backend implements
-// it by tearing its next framed append.
-type AppendBreaker interface {
-	BreakNextAppend()
+	Op       Op
+	N        int
+	Err      error
+	Stall    time.Duration
+	Torn     bool
+	FailSync bool
 }
 
 // Fault wraps a Store and applies Rules to its write operations. Reads pass
@@ -90,10 +86,8 @@ func (f *Fault) before(op Op) error {
 	if hit.Stall > 0 {
 		time.Sleep(hit.Stall)
 	}
-	if hit.Torn {
-		if ab, ok := f.inner.(AppendBreaker); ok {
-			ab.BreakNextAppend()
-		}
+	if j, ok := f.inner.(*Journal); ok {
+		j.arm(*hit)
 	}
 	return hit.Err
 }

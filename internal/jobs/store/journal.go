@@ -15,10 +15,12 @@ import (
 	"repro/internal/api"
 )
 
-// Journal is the durable backend: the same state machine as Memory, plus an
-// append-only log of checksummed records under dir. The write path is
-// WiscKey-shaped — state lives in memory, every mutation appends one framed
-// record, and recovery is replay:
+// Journal is the job store: the shared state machine under one mutex, with
+// an optional append-only log of checksummed records under dir. NewMemory
+// returns it without a log: nothing outlives the process, and the manager
+// cancels live jobs on shutdown. OpenJournal returns it with its log, and
+// the write path is WiscKey-shaped — state lives in memory, every mutation
+// appends one framed record, and recovery is replay:
 //
 //	snapshot.json   the state as of the last compaction (atomic rename)
 //	journal.log     records appended since: 4B LE length | 4B CRC32 | JSON
@@ -38,15 +40,16 @@ import (
 type Journal struct {
 	mu  sync.Mutex
 	st  *state
-	dir string
+	dir string   // "" for a store without a log
 	f   *os.File // journal.log, opened for append
 
 	records int64 // appended since open/compaction
 	bytes   int64 // good bytes in the log == the clean-truncation offset
 	syncs   int64
 
-	breakNext bool // fault injection: tear the next append (see BreakNextAppend)
-	failed    bool // a torn append could not be rolled back; writes refused
+	tornNext     bool // fault injection: tear the next append (see arm)
+	failSyncNext bool // fault injection: fail the next commit's fsync
+	failed       bool // a rollback or an fsync failed; writes refused until reopen
 }
 
 const (
@@ -55,10 +58,6 @@ const (
 	headerSize   = 8 // 4B little-endian payload length + 4B CRC32 (IEEE)
 )
 
-// maxRecordSize bounds a decoded record frame. A length prefix beyond it is
-// treated as a torn/corrupt tail, not an allocation request.
-const maxRecordSize = 64 << 20
-
 // snapshot is the serialized form of the whole state table.
 type snapshot struct {
 	Jobs   []Job               `json:"jobs"` // submission order
@@ -66,6 +65,9 @@ type snapshot struct {
 	Parts  map[string][][]byte `json:"parts,omitempty"`
 	Final  map[string][]byte   `json:"final,omitempty"`
 }
+
+// NewMemory returns an empty store without a log.
+func NewMemory() *Journal { return &Journal{st: newState()} }
 
 // OpenJournal opens (creating if needed) a journal store rooted at dir and
 // recovers its state: snapshot, then log replay with torn-tail truncation,
@@ -118,6 +120,7 @@ func (j *Journal) loadSnapshot() error {
 		// job row and shard/result tables on top.
 		*j.st.jobs[jb.ID] = jb
 		for k := range shs {
+			shs[k].JobID, shs[k].Index = jb.ID, k
 			*j.st.shards[jb.ID][k] = shs[k]
 		}
 		if parts := snap.Parts[jb.ID]; len(parts) == len(shs) {
@@ -131,9 +134,11 @@ func (j *Journal) loadSnapshot() error {
 }
 
 // replay applies journal.log on top of the snapshot. It stops at the first
-// frame that is short, oversized or checksum-corrupt and truncates the file
-// there: everything before the tear is kept, everything after (necessarily
-// written later) is unreachable anyway without the torn record.
+// frame that is short, longer than the bytes left in the file, or
+// checksum-corrupt and truncates the file there: everything before the tear
+// is kept, everything after (necessarily written later) is unreachable
+// anyway without the torn record. A length prefix is never an allocation
+// request beyond the file's own size.
 func (j *Journal) replay() error {
 	f, err := os.Open(j.logPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -143,6 +148,10 @@ func (j *Journal) replay() error {
 		return fmt.Errorf("store: open journal for replay: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: stat journal: %w", err)
+	}
 
 	var good int64
 	hdr := make([]byte, headerSize)
@@ -152,7 +161,7 @@ func (j *Journal) replay() error {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordSize {
+		if n == 0 || int64(n) > fi.Size()-good-headerSize {
 			break
 		}
 		payload := make([]byte, n)
@@ -168,10 +177,6 @@ func (j *Journal) replay() error {
 		}
 		j.st.apply(rec)
 		good += int64(headerSize) + int64(n)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat journal: %w", err)
 	}
 	if fi.Size() > good {
 		if err := os.Truncate(j.logPath(), good); err != nil {
@@ -240,12 +245,16 @@ func (j *Journal) compact() error {
 }
 
 // append frames rec onto the log; sync forces it to disk (the commit
-// points). Callers hold j.mu. Append is atomic from the store's point of
-// view: on any error the partial frame is truncated away so later records
-// never land behind a tear (replay stops at the first bad frame, which
-// would make every record after it unreachable), and the in-memory state
-// has not been touched yet, so a failed append leaves the store consistent.
+// points). Callers hold j.mu. A store without a log appends nothing.
+// Append is atomic from the store's point of view: on any error, a failed
+// fsync included, the frame is truncated away, so later records never land
+// behind a tear (replay stops at the first bad frame, which would make
+// every record after it unreachable), and the in-memory state has not been
+// touched yet, so the live state and a replay of the log agree.
 func (j *Journal) append(rec record, sync bool) error {
+	if j.dir == "" {
+		return nil
+	}
 	if j.f == nil {
 		return errors.New("store: journal is closed")
 	}
@@ -260,11 +269,11 @@ func (j *Journal) append(rec record, sync bool) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[headerSize:], payload)
-	if j.breakNext {
+	if j.tornNext {
 		// Fault injection: write a torn frame (header + half the payload)
 		// and fail the op, exactly the on-disk shape of a crash mid-write —
 		// then roll it back like any other failed append.
-		j.breakNext = false
+		j.tornNext = false
 		_, _ = j.f.Write(frame[:headerSize+len(payload)/2])
 		j.rollback()
 		return errors.New("store: injected torn write")
@@ -273,14 +282,24 @@ func (j *Journal) append(rec record, sync bool) error {
 		j.rollback()
 		return fmt.Errorf("store: append record: %w", err)
 	}
-	j.records++
-	j.bytes += int64(len(frame))
 	if sync {
-		if err := j.f.Sync(); err != nil {
+		err := j.f.Sync()
+		if j.failSyncNext {
+			j.failSyncNext, err = false, errors.New("injected fsync failure")
+		}
+		if err != nil {
+			// After a failed fsync the file's durability is unknown: the
+			// kernel may have dropped the dirty pages, and a later fsync can
+			// report success regardless. Drop the frame, then refuse writes
+			// until a reopen re-reads the file.
+			j.rollback()
+			j.failed = true
 			return fmt.Errorf("store: sync journal: %w", err)
 		}
 		j.syncs++
 	}
+	j.records++
+	j.bytes += int64(len(frame))
 	return nil
 }
 
@@ -296,70 +315,75 @@ func (j *Journal) rollback() {
 
 // LogStats reports appended record/byte/sync counts since open (the
 // journal restarts empty at open-time compaction, so these measure the
-// current run's write volume).
+// current run's write volume). A store without a log reports zeros.
 func (j *Journal) LogStats() (records, bytes, syncs int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records, j.bytes, j.syncs
 }
 
-// BreakNextAppend arms a single torn write: the next journal append writes
-// a truncated frame and returns an error, exactly the on-disk shape an
-// ill-timed crash leaves. The Fault wrapper's Torn rules call this.
-func (j *Journal) BreakNextAppend() {
+// arm sets the one-shot faults of a Fault rule: Torn tears the next append
+// mid-frame, exactly the on-disk shape an ill-timed crash leaves, and
+// FailSync fails the next commit's fsync. A store without a log has
+// nothing to tear or sync.
+func (j *Journal) arm(r Rule) {
 	j.mu.Lock()
-	j.breakNext = true
+	j.tornNext = j.tornNext || r.Torn
+	j.failSyncNext = j.failSyncNext || r.FailSync
 	j.mu.Unlock()
 }
 
-// commit validates via op (which returns the record), persists, applies.
-func (j *Journal) commit(sync bool, op func() (record, error)) error {
+// commit is the single write path: op validates the request against the
+// current state and returns the record that effects it; commit appends
+// the record to the log, when there is one, and only then applies it.
+// sync marks the commit points. Callers hold j.mu.
+func (j *Journal) commit(sync bool, op func() (record, error)) (record, error) {
 	rec, err := op()
-	if err != nil {
-		return err
+	if err == nil {
+		err = j.append(rec, sync)
 	}
-	if err := j.append(rec, sync); err != nil {
-		return err
+	if err != nil {
+		return record{}, err
 	}
 	j.st.apply(rec)
-	return nil
+	return rec, nil
 }
 
 func (j *Journal) Submit(jb Job, shards []Shard) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.commit(true, func() (record, error) { return j.st.submit(jb, shards) })
+	_, err := j.commit(true, func() (record, error) { return j.st.submit(jb, shards) })
+	return err
 }
 
 func (j *Journal) Claim(now time.Time, worker string, lease time.Duration) (Shard, bool, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec, ok := j.st.claim(now, worker, lease)
-	if !ok {
+	rec, err := j.commit(false, func() (record, error) { return j.st.claim(now, worker, lease) })
+	if err == errIdle {
 		return Shard{}, false, nil
 	}
-	if err := j.append(rec, false); err != nil {
+	if err != nil {
 		return Shard{}, false, err
 	}
-	j.st.apply(rec)
 	return *j.st.shard(rec.ID, rec.Index), true, nil
 }
 
 func (j *Journal) Heartbeat(now time.Time, jobID string, index int, worker string, lease time.Duration) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.commit(false, func() (record, error) {
+	_, err := j.commit(false, func() (record, error) {
 		return j.st.heartbeat(now, jobID, index, worker, lease)
 	})
+	return err
 }
 
 func (j *Journal) CompleteShard(now time.Time, jobID string, index int, worker string, result []byte) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := j.commit(true, func() (record, error) {
+	if _, err := j.commit(true, func() (record, error) {
 		return j.st.completeShard(jobID, index, worker, result)
-	})
-	if err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	return j.st.remaining(jobID), nil
@@ -368,11 +392,15 @@ func (j *Journal) CompleteShard(now time.Time, jobID string, index int, worker s
 func (j *Journal) ReleaseShard(now time.Time, jobID string, index int, worker string, notBefore time.Time) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.commit(false, func() (record, error) {
+	_, err := j.commit(false, func() (record, error) {
 		return j.st.releaseShard(jobID, index, worker, notBefore)
 	})
+	return err
 }
 
+// ExpireLeases requeues through commit, one record per shard. Under j.mu
+// every shard expired returns is claimed, so only the log can refuse a
+// release; the shards requeued so far are returned with its error.
 func (j *Journal) ExpireLeases(now time.Time, backoff func(attempts int) time.Duration) ([]Shard, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -382,14 +410,11 @@ func (j *Journal) ExpireLeases(now time.Time, backoff func(attempts int) time.Du
 		if backoff != nil {
 			nb = now.Add(backoff(sh.Attempts))
 		}
-		rec, err := j.st.releaseShard(sh.JobID, sh.Index, "", nb)
-		if err != nil {
-			continue
-		}
-		if err := j.append(rec, false); err != nil {
+		if _, err := j.commit(false, func() (record, error) {
+			return j.st.releaseShard(sh.JobID, sh.Index, "", nb)
+		}); err != nil {
 			return out, err
 		}
-		j.st.apply(rec)
 		out = append(out, *sh)
 	}
 	return out, nil
@@ -398,9 +423,10 @@ func (j *Journal) ExpireLeases(now time.Time, backoff func(attempts int) time.Du
 func (j *Journal) TransitionJob(now time.Time, jobID string, state api.JobState, errMsg, code string, result []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.commit(true, func() (record, error) {
+	_, err := j.commit(true, func() (record, error) {
 		return j.st.transitionJob(jobID, state, errMsg, code, result)
 	})
+	return err
 }
 
 func (j *Journal) ShardResults(jobID string) ([][]byte, error) {
@@ -431,11 +457,20 @@ func (j *Journal) List() ([]Job, error) {
 func (j *Journal) Delete(jobID string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.commit(false, func() (record, error) { return j.st.deleteJob(jobID) })
+	_, err := j.commit(false, func() (record, error) { return j.st.deleteJob(jobID) })
+	return err
 }
 
-func (j *Journal) Name() string  { return "journal" }
-func (j *Journal) Durable() bool { return true }
+// Name is "journal" for a store with a log and "memory" for one without.
+func (j *Journal) Name() string {
+	if j.dir == "" {
+		return "memory"
+	}
+	return "journal"
+}
+
+// Durable reports whether the store has a log.
+func (j *Journal) Durable() bool { return j.dir != "" }
 
 // Close syncs and closes the log. The directory remains replayable; a
 // subsequent OpenJournal recovers exactly this state.

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -195,7 +198,7 @@ func TestJournalBreakNextAppendLeavesStoreConsistent(t *testing.T) {
 	}
 	j1, s1 := mkJob("job-1", 1)
 	must(t, j.Submit(j1, s1))
-	j.BreakNextAppend()
+	j.arm(Rule{Torn: true})
 	j2, s2 := mkJob("job-2", 1)
 	if err := j.Submit(j2, s2); err == nil {
 		t.Fatal("submit over torn append should fail")
@@ -246,8 +249,8 @@ func TestJournalFaultWrapperRules(t *testing.T) {
 		t.Fatalf("op counts: submit=%d claim=%d", f.Calls(OpSubmit), f.Calls(OpClaim))
 	}
 
-	// A Torn rule tears the journal frame through the AppendBreaker hook:
-	// the op fails, memory stays consistent.
+	// A Torn rule tears the journal frame: the op fails, memory stays
+	// consistent.
 	f.Add(Rule{Op: OpTransition, N: 1, Torn: true})
 	if err := f.TransitionJob(now, "job-1", api.JobDone, "", "", []byte("r")); err == nil {
 		t.Fatal("torn transition should fail")
@@ -255,4 +258,228 @@ func TestJournalFaultWrapperRules(t *testing.T) {
 	if jb, _, _, _ := f.Get("job-1"); jb.State.Terminal() {
 		t.Fatalf("torn transition mutated state: %+v", jb)
 	}
+}
+
+// TestJournalFailedSyncMatchesReplay: a commit whose fsync fails is dropped
+// from the log as well as from memory, so the live store and a reopen of
+// its directory agree, and the store refuses writes until it is reopened.
+func TestJournalFailedSyncMatchesReplay(t *testing.T) {
+	now := time.Unix(1700000000, 0).UTC()
+	cases := []struct {
+		op  Op
+		run func(s Store) error
+	}{
+		{OpSubmit, func(s Store) error {
+			jb, shs := mkJob("job-2", 1)
+			return s.Submit(jb, shs)
+		}},
+		{OpComplete, func(s Store) error {
+			_, err := s.CompleteShard(now, "job-1", 0, "w1", []byte(`["p1"]`))
+			return err
+		}},
+		{OpTransition, func(s Store) error {
+			return s.TransitionJob(now, "job-1", api.JobDone, "", "", []byte(`{"done":1}`))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(string(c.op), func(t *testing.T) {
+			j, err := OpenJournal(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, shs := mkJob("job-1", 2)
+			must(t, j.Submit(jb, shs))
+			if _, ok, err := j.Claim(now, "w1", time.Minute); !ok || err != nil {
+				t.Fatalf("claim: ok=%v err=%v", ok, err)
+			}
+			f := NewFault(j, Rule{Op: c.op, N: 1, FailSync: true})
+			if err := c.run(f); err == nil {
+				t.Fatalf("%s over a failed fsync should fail", c.op)
+			}
+			j3, s3 := mkJob("job-3", 1)
+			if err := f.Submit(j3, s3); err == nil {
+				t.Fatal("a write after a failed fsync was accepted")
+			}
+			live := storeView(t, j)
+			if got := storeView(t, reopen(t, j)); got != live {
+				t.Fatalf("live store and its replay disagree:\nlive   %s\nreplay %s", live, got)
+			}
+		})
+	}
+}
+
+// storeView renders everything a reader sees of s — List, then each job's
+// Get, ShardResults and Result — as JSON, so two stores compare with ==.
+func storeView(t testing.TB, s Store) string {
+	t.Helper()
+	type jobView struct {
+		Job    Job
+		Shards []Shard
+		Parts  [][]byte
+		Result []byte
+	}
+	list, err := s.List()
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	jobs := make([]jobView, len(list))
+	for i, jb := range list {
+		v := &jobs[i]
+		var ok bool
+		if v.Job, v.Shards, ok, err = s.Get(jb.ID); !ok || err != nil {
+			t.Fatalf("get %q: ok=%v err=%v", jb.ID, ok, err)
+		}
+		if v.Parts, err = s.ShardResults(jb.ID); err != nil {
+			t.Fatalf("shard results %q: %v", jb.ID, err)
+		}
+		if v.Result, err = s.Result(jb.ID); err != nil {
+			t.Fatalf("result %q: %v", jb.ID, err)
+		}
+	}
+	out, err := json.Marshal(struct {
+		List []Job
+		Jobs []jobView
+	}{list, jobs})
+	if err != nil {
+		t.Fatalf("encode view: %v", err)
+	}
+	return string(out)
+}
+
+// seedJournal leaves in dir a snapshot holding one done job and a log of
+// every record kind recorded on top of it: submit, claim, beat, shard
+// (done and pending), job and delete.
+func seedJournal(tb testing.TB, dir string) {
+	tb.Helper()
+	check := func(err error) {
+		if err != nil {
+			tb.Fatalf("seed journal: %v", err)
+		}
+	}
+	now := time.Unix(1700000000, 0).UTC()
+	j, err := OpenJournal(dir)
+	check(err)
+	j0, s0 := mkJob("job-0", 1)
+	check(j.Submit(j0, s0))
+	check(j.TransitionJob(now, "job-0", api.JobDone, "", "", []byte(`{"done":0}`)))
+	check(j.Close())
+	if j, err = OpenJournal(dir); err != nil { // compacts job-0 into the snapshot
+		tb.Fatal(err)
+	}
+	j1, s1 := mkJob("job-1", 2)
+	check(j.Submit(j1, s1))
+	_, _, err = j.Claim(now, "w1", time.Minute)
+	check(err)
+	check(j.Heartbeat(now.Add(time.Second), "job-1", 0, "w1", time.Minute))
+	_, err = j.CompleteShard(now, "job-1", 0, "w1", []byte(`["p1"]`))
+	check(err)
+	_, _, err = j.Claim(now, "w2", time.Minute)
+	check(err)
+	check(j.ReleaseShard(now, "job-1", 1, "w2", now.Add(time.Second)))
+	check(j.TransitionJob(now, "job-1", api.JobRunning, "", "", nil))
+	check(j.Delete("job-0"))
+	j2, s2 := mkJob("job-2", 1)
+	check(j.Submit(j2, s2))
+	check(j.TransitionJob(now, "job-2", api.JobFailed, "boom", "run_failed", nil))
+	check(j.Close())
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to recovery. mode picks where
+// data lands: 0 the whole log, 1 the whole log over the seeded snapshot,
+// 2 the snapshot under the first n frames of the seeded log, 3 the tail
+// after the first n frames of the seeded log (over the seeded snapshot).
+// Open must succeed or return an error, never panic; an opened store must
+// reopen to the same view and take a claim; and in mode 3, where the tail
+// is made to fail its first checksum, recovery must yield exactly the
+// valid prefix's state.
+func FuzzJournalReplay(f *testing.F) {
+	seed := f.TempDir()
+	seedJournal(f, seed)
+	seedLog, err := os.ReadFile(filepath.Join(seed, journalName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedSnap, err := os.ReadFile(filepath.Join(seed, snapshotName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cuts := []int{0} // cuts[k] is the length of the log's first k frames
+	for off := 0; off < len(seedLog); {
+		off += headerSize + int(binary.LittleEndian.Uint32(seedLog[off:]))
+		cuts = append(cuts, off)
+	}
+	torn := []byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'h', 'a', 'l', 'f'}
+	f.Add(uint8(0), uint8(0), seedLog)
+	f.Add(uint8(0), uint8(0), append(append([]byte{}, seedLog...), torn...))
+	f.Add(uint8(1), uint8(0), seedLog)
+	f.Add(uint8(1), uint8(0), seedLog[:len(seedLog)-3])
+	f.Add(uint8(2), uint8(len(cuts)-1), seedSnap)
+	f.Add(uint8(2), uint8(0), []byte(`{"jobs":[{"id":"job-1","state":"queued","shards":1}],"shards":{"job-1":[{"index":7,"state":"pending"}]}}`))
+	f.Add(uint8(3), uint8(len(cuts)-1), torn)
+	f.Add(uint8(3), uint8(3), seedLog[cuts[5]:])
+	for k := 1; k < len(cuts); k++ {
+		f.Add(uint8(0), uint8(0), seedLog[cuts[k-1]:cuts[k]])
+	}
+
+	f.Fuzz(func(t *testing.T, mode, n uint8, data []byte) {
+		prefix := seedLog[:cuts[int(n)%len(cuts)]]
+		var snap, log []byte
+		switch mode % 4 {
+		case 0:
+			log = data
+		case 1:
+			snap, log = seedSnap, data
+		case 2:
+			snap, log = data, prefix
+		case 3:
+			tail := append([]byte{}, data...)
+			if len(tail) >= headerSize {
+				m := binary.LittleEndian.Uint32(tail)
+				if rest := tail[headerSize:]; int64(m) <= int64(len(rest)) &&
+					crc32.ChecksumIEEE(rest[:m]) == binary.LittleEndian.Uint32(tail[4:]) {
+					tail[4] ^= 0xff // a valid first frame would be a record, not a tear
+				}
+			}
+			snap, log = seedSnap, append(append([]byte{}, prefix...), tail...)
+		}
+		s, err := OpenJournal(writeJournal(t, snap, log))
+		if err != nil {
+			return // refusing the files is allowed
+		}
+		view := storeView(t, s)
+		s = reopen(t, s)
+		if got := storeView(t, s); got != view {
+			t.Fatalf("reopen changed the state:\nfirst  %s\nreopen %s", view, got)
+		}
+		if _, _, err := s.Claim(time.Unix(1700000000, 0).UTC(), "fuzz", time.Minute); err != nil {
+			t.Fatalf("claim on the recovered store: %v", err)
+		}
+		if mode%4 != 3 {
+			return
+		}
+		want, err := OpenJournal(writeJournal(t, seedSnap, prefix))
+		if err != nil {
+			t.Fatalf("open the valid prefix: %v", err)
+		}
+		defer want.Close()
+		if w := storeView(t, want); w != view {
+			t.Fatalf("a torn tail changed the recovered state:\nwant %s\ngot  %s", w, view)
+		}
+	})
+}
+
+// writeJournal writes a journal directory holding snap (none when nil) and
+// log, and returns its path.
+func writeJournal(t *testing.T, snap, log []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if snap != nil {
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,8 +9,7 @@ import (
 )
 
 // record is one durable state mutation. Every write — live or replayed —
-// flows through state.apply as one of these, so the journal backend and the
-// in-memory backend share a single state machine and a journal replay
+// flows through state.apply as one of these, so a replay of the log
 // reconstructs exactly the state the live process had. Records carry the
 // *decision* (which worker, which lease deadline, which backoff gate), never
 // an input to re-decide, so replay needs no clock and no policy.
@@ -37,8 +37,8 @@ type record struct {
 	Code  string `json:"c,omitempty"`
 }
 
-// state is the in-memory job table both backends share. It is not
-// concurrency-safe; the owning backend serializes access.
+// state is the store's in-memory job table. It is not concurrency-safe;
+// Journal serializes access.
 type state struct {
 	jobs   map[string]*Job
 	shards map[string][]*Shard // by job id, dense by shard index
@@ -56,11 +56,11 @@ func newState() *state {
 	}
 }
 
-// apply mutates the state by rec. It is the single write path: live
-// operations validate, build a record, persist it (journal backend), then
-// apply; replay applies the same records in order. Unknown or inconsistent
-// records are ignored rather than fatal — a journal from a newer version
-// must degrade, not brick the store.
+// apply mutates the state by rec. Live operations validate, build a
+// record, append it to the log when there is one, then apply (see
+// Journal.commit); replay applies the same records in order. Unknown or
+// inconsistent records are ignored rather than fatal — a journal from a
+// newer version must degrade, not brick the store.
 func (s *state) apply(r record) {
 	switch r.Op {
 	case "submit":
@@ -72,6 +72,7 @@ func (s *state) apply(r record) {
 		shs := make([]*Shard, len(r.Shards))
 		for i := range r.Shards {
 			sh := r.Shards[i]
+			sh.JobID, sh.Index = j.ID, i // records address a shard by position
 			shs[i] = &sh
 		}
 		s.shards[j.ID] = shs
@@ -142,8 +143,8 @@ func (s *state) shard(jobID string, index int) *Shard {
 }
 
 // The op methods below validate a request against the current state and, on
-// success, return the record that effects it. The caller persists (journal)
-// and then applies. None of them mutate state themselves.
+// success, return the record that effects it. Journal.commit appends and
+// then applies it. None of them mutate state themselves.
 
 func (s *state) submit(j Job, shards []Shard) (record, error) {
 	if _, ok := s.jobs[j.ID]; ok {
@@ -166,9 +167,12 @@ func (s *state) submit(j Job, shards []Shard) (record, error) {
 	return record{Op: "submit", Job: &j, Shards: shards}, nil
 }
 
+// errIdle is claim's answer when no shard is claimable.
+var errIdle = errors.New("store: nothing claimable")
+
 // claim picks the oldest eligible pending shard: jobs in submission order,
 // shards in index order, skipping terminal jobs and backoff-gated shards.
-func (s *state) claim(now time.Time, worker string, lease time.Duration) (record, bool) {
+func (s *state) claim(now time.Time, worker string, lease time.Duration) (record, error) {
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j == nil || j.State.Terminal() {
@@ -179,10 +183,10 @@ func (s *state) claim(now time.Time, worker string, lease time.Duration) (record
 				continue
 			}
 			return record{Op: "claim", ID: id, Index: sh.Index, Worker: worker,
-				Until: now.Add(lease)}, true
+				Until: now.Add(lease)}, nil
 		}
 	}
-	return record{}, false
+	return record{}, errIdle
 }
 
 // held validates that worker currently holds the claim on (jobID, index).

@@ -3,13 +3,15 @@
 // shard claims under leases, heartbeat renewal, completion, terminal
 // transitions, results — while the jobs.Manager above it owns execution.
 //
-// Two backends implement the interface behind one conformance suite: the
-// in-memory map the manager always had (the default; nothing outlives the
-// process), and a durable append-only journal of checksummed state records
-// with snapshot+compaction on open (see Journal), so a restarted mbsd
-// replays its log and re-queues every non-terminal sweep instead of losing
-// it. A third, Fault, wraps any Store to inject failures, stalls and torn
-// writes for recovery testing.
+// One type implements the interface, Journal, and one conformance suite
+// runs it in both of its configurations: without a log (NewMemory, the
+// default; nothing outlives the process), and with a durable append-only
+// log of checksummed state records and snapshot+compaction on open
+// (OpenJournal), so a restarted mbsd replays its log and re-queues every
+// non-terminal sweep instead of losing it. Every write takes one path —
+// validate, append when there is a log, apply — so a fix to it is made
+// once. Fault wraps any Store to inject failures and stalls, and torn
+// writes and failed fsyncs into a Journal's log, for recovery testing.
 //
 // The claim/heartbeat contract is lease-based so it extends to multiple
 // worker processes sharing one store: a claim is exclusive until its lease

@@ -9,9 +9,11 @@
 // deterministic and independent of how requests were micro-batched
 // together.
 //
-// Every buffer is preallocated for the compile-time maximum batch, so a
-// warm Predictor performs zero steady-state heap allocations (pinned by
-// TestPredictorAllocFree). A Predictor is NOT safe for concurrent use —
+// Every buffer is preallocated for the compile-time maximum batch, so on
+// one kernel thread a warm Predictor performs zero steady-state heap
+// allocations (pinned by TestPredictorAllocFree at one thread). At two
+// threads the kernels' goroutine fan-out makes 18 allocs (912 B) per
+// batch-8 CNN inference on a 2-core x86 host. A Predictor is NOT safe for concurrent use —
 // the serving layer (internal/infer) owns one per dispatch loop.
 
 package nn

@@ -7,8 +7,11 @@
 // well as BN (the Fig. 6 substitute experiment).
 //
 // Layers run on the tensor package's GEMM-lowered kernels and write into
-// persistent per-layer buffers, so steady-state training makes no
-// allocations.
+// persistent per-layer buffers, so steady-state training on one kernel
+// thread makes no allocations (the alloc tests pin one thread). At more
+// threads the kernels start goroutines per call: at two threads on a
+// 2-core x86 host an MBS step made 216–218 allocs (9.7–36.8 KB) and a
+// batch-8 CNN inference 18 allocs (912 B).
 package nn
 
 import (

@@ -37,7 +37,9 @@ import (
 // All intra-group buffers live at planned offsets of one shared float slab
 // sized for the largest group; per-unit input gradients collapse into two
 // ping-pong slots at the slab tail (unit-parity alternation). Install is a
-// per-span loop of pointer assignments — zero steady-state allocations.
+// per-span loop of pointer assignments, so a step makes zero steady-state
+// allocations on one kernel thread; at more threads the kernels' goroutine
+// fan-out allocates (see the package doc).
 
 type mbsSpan struct{ from, to, size int }
 
@@ -355,7 +357,8 @@ func (e *mbsExec) phaseSpans(g int, fn func(int, mbsSpan)) {
 }
 
 // accumulate runs one grouped MBS gradient accumulation (no optimizer step)
-// and returns the mini-batch loss. Allocation-free after warm-up.
+// and returns the mini-batch loss. Allocation-free after warm-up on one
+// kernel thread (see the package doc for more threads).
 func (e *mbsExec) accumulate(x *tensor.Tensor, labels []int) float64 {
 	for si, sp := range e.spans {
 		e.xViews[si].Data = x.Data[sp.from*e.sampleElems : sp.to*e.sampleElems]

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -54,7 +53,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobs/store"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/tensor"
@@ -88,9 +86,6 @@ type Config struct {
 	// InferShed enables inference admission control: requests arriving at a
 	// full queue are rejected with 429 + Retry-After instead of blocking.
 	InferShed bool
-	// MBSCacheBudget is the cache budget in bytes for the MBS executor plan
-	// reported under /v1/stats (0 = autodetect from the CPU cache topology).
-	MBSCacheBudget int64
 	// EventRing sizes the event bus's replay ring (0 = 256, negative = no
 	// retention); late /v2/events subscribers catch up from it.
 	EventRing int
@@ -137,8 +132,7 @@ type Server struct {
 	queueWait   atomic.Int64 // v1 requests waiting for a slot
 	served      atomic.Int64
 	failed      atomic.Int64
-	cancelled   atomic.Int64     // v1 runs abandoned by their client
-	mbs         api.MBSPlanStats // static: planned once at startup
+	cancelled   atomic.Int64 // v1 runs abandoned by their client
 	obs         *observability
 }
 
@@ -212,36 +206,8 @@ func New(cfg Config) *Server {
 		panic(fmt.Sprintf("service: compile inference model %q: %v", model, err))
 	}
 	s.batcher = b
-	s.mbs = planMBSStats(cfg.MBSCacheBudget)
 	s.registerCollectors()
 	return s
-}
-
-// planMBSStats plans the default Fig. 6 GN model under the given cache
-// budget and returns the stats section. The grouping is static — it depends
-// only on the model shape, sub-batch and budget — so it is computed once at
-// startup. An unsatisfiable budget (a single layer over it) is a deployment
-// misconfiguration and panics, like an unknown inference model.
-func planMBSStats(budget int64) api.MBSPlanStats {
-	fc := experiments.DefaultFig6Config()
-	m := nn.BuildSmallCNN(rand.New(rand.NewSource(fc.Seed)),
-		fc.Data.Channels, fc.Data.Size, fc.Data.Classes, nn.NormGroup, 8)
-	plan, err := m.PlanMBS(
-		[]int{fc.Batch, fc.Data.Channels, fc.Data.Size, fc.Data.Size},
-		nn.MBSPlanConfig{SubBatch: fc.SubBatch, BudgetBytes: budget})
-	if err != nil {
-		panic(fmt.Sprintf("service: mbs cache budget: %v", err))
-	}
-	return api.MBSPlanStats{
-		Groups:        len(plan.Groups),
-		SubBatch:      plan.SubBatch,
-		ArenaBytes:    plan.PeakArenaBytes,
-		BudgetBytes:   plan.BudgetBytes,
-		BudgetAuto:    plan.BudgetAuto,
-		BudgetSource:  plan.BudgetSource,
-		BoundaryBytes: plan.BoundaryBytes,
-		FullBytes:     plan.FullFootprintBytes,
-	}
 }
 
 // Engine returns the shared sweep engine (the tests inspect its cache).
@@ -432,7 +398,6 @@ func (s *Server) Stats() api.Stats {
 			SIMD:       tensor.SIMDEnabled(),
 		},
 		Infer: s.batcher.Stats(),
-		MBS:   s.mbs,
 		Cache: api.CacheStats{
 			Hits: st.Hits(), Misses: st.Misses(), Evictions: st.Evictions(),
 			HitRate: st.HitRate(), Bytes: st.Bytes, MaxBytes: st.MaxBytes,

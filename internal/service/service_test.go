@@ -143,27 +143,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if len(st.Cache.Tables) != 3 {
 		t.Errorf("tables = %v", st.Cache.Tables)
 	}
-	if st.MBS.Groups < 1 || st.MBS.SubBatch < 1 || st.MBS.ArenaBytes <= 0 ||
-		st.MBS.BudgetBytes <= 0 || st.MBS.FullBytes <= st.MBS.ArenaBytes {
-		t.Errorf("mbs plan section not populated: %+v", st.MBS)
-	}
-	if !st.MBS.BudgetAuto {
-		t.Errorf("default config should autodetect the MBS budget: %+v", st.MBS)
-	}
-}
-
-// TestStatsMBSBudget exercises the configured-budget path: a tight budget
-// must split the default Fig. 6 model into multiple groups, and the stats
-// section must echo the configured value without marking it auto.
-func TestStatsMBSBudget(t *testing.T) {
-	svc, _ := newTestServer(t, Config{MBSCacheBudget: 2 << 20})
-	st := svc.Stats()
-	if st.MBS.BudgetBytes != 2<<20 || st.MBS.BudgetAuto {
-		t.Errorf("budget not reflected: %+v", st.MBS)
-	}
-	if st.MBS.Groups < 2 {
-		t.Errorf("2MiB budget should split the model, got %+v", st.MBS)
-	}
 }
 
 func TestRunErrors(t *testing.T) {
@@ -176,6 +155,13 @@ func TestRunErrors(t *testing.T) {
 		{`{"scenario":"fig99"}`, http.StatusNotFound, "unknown_scenario"},
 		{`{"scenario":"fig5","params":{"bogus":"1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"single","params":{"batch":"many"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		// Integers that parse but are out of range are refused before they
+		// run: 2^44 MiB of buffer wraps to 0 bytes (the 10 MiB default), and
+		// 9e12 MiB overflows negative.
+		{`{"scenario":"single","params":{"buffer":"17592186044416"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"buffer":"9000000000000"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"buffer":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"batch":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"fig10","format":"yaml"}`, http.StatusBadRequest, "bad_request"},
 		{`not json`, http.StatusBadRequest, "bad_request"},
 	}
@@ -374,6 +360,10 @@ func TestV2SubmitErrors(t *testing.T) {
 		{`{"scenario":"fig99"}`, http.StatusNotFound, "unknown_scenario"},
 		{`{"scenario":"fig5","params":{"bogus":"1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"single","params":{"batch":"many"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"buffer":"17592186044416"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"buffer":"9000000000000"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"buffer":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"single","params":{"batch":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`nope`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, c := range cases {

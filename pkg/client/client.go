@@ -148,7 +148,6 @@ type (
 	EngineStats  = api.EngineStats
 	InferStats   = api.InferStats
 	ReplicaStats = api.ReplicaStats
-	MBSPlanStats = api.MBSPlanStats
 )
 
 // Job lifecycle states.
