@@ -14,7 +14,7 @@
 //	BenchmarkFig6Training     — training-equivalence substitute (short)
 //	BenchmarkTable2Area       — Tab. 2 area/power model
 //	BenchmarkAblation*        — design-choice ablations from DESIGN.md
-//	BenchmarkSuite*           — the full mbsim -all suite on the sweep
+//	BenchmarkSuite*           — the full "all" scenario suite on the sweep
 //	                            engine: sequential, parallel and warm-cache
 package repro_test
 
@@ -347,15 +347,21 @@ func BenchmarkAblationZeroSkip(b *testing.B) {
 
 // --- Sweep-engine suite ------------------------------------------------------
 
-// benchSuite times the full mbsim -all suite (Figs. 10-14 + Tab. 2) at the
-// given worker count, with a cold cache every iteration.
+// runSuite renders the "all" scenario (Figs. 10-14 + Tab. 2) on r.
+func runSuite(b *testing.B, r experiments.Runner) {
+	b.Helper()
+	all, _ := experiments.Lookup("all")
+	if _, err := all.Run(context.Background(), r, nil, io.Discard); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchSuite times the full suite at the given worker count, with a cold
+// cache every iteration.
 func benchSuite(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r := experiments.Runner{E: sweep.New(workers)}
-		if err := r.All(context.Background(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		runSuite(b, experiments.Runner{E: sweep.New(workers)})
 	}
 }
 
@@ -372,14 +378,10 @@ func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
 // rendering cost.
 func BenchmarkSuiteCached(b *testing.B) {
 	r := newRunner()
-	if err := r.All(context.Background(), io.Discard); err != nil {
-		b.Fatal(err)
-	}
+	runSuite(b, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.All(context.Background(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		runSuite(b, r)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command mbsim runs the WaveCore simulator experiments through the
-// scenario registry: every paper figure and table, single-cell simulations
-// and custom sweep grids are named scenarios with typed params, discoverable
-// with -list and runnable by name with -scenario.
+// scenario registry: every paper figure and table, the MBS schedule view,
+// single-cell simulations and custom sweep grids are named scenarios with
+// typed params, discoverable with -list and runnable by name with -scenario.
+// The mbsd service serves the same names and params.
 //
 // Experiments execute on the concurrent sweep engine (-parallel selects the
 // worker count; the default uses every core). Output is deterministic: a
@@ -12,12 +13,10 @@
 //
 //	mbsim -list
 //	mbsim -scenario fig10 [-parallel N] [-json]
+//	mbsim -scenario all [-json]
+//	mbsim -scenario single -param network=resnet50 -param memory=LPDDR4
 //	mbsim -scenario sweep -param network=resnet152 -param axes=memory,buffer
-//	mbsim -fig 10|11|12|13|14            # shorthand for -scenario figN
-//	mbsim -table 2                       # shorthand for -scenario table2
-//	mbsim -all [-json]                   # shorthand for -scenario all
-//	mbsim -network resnet50 -config MBS2 -memory LPDDR4
-//	mbsim -network resnet152 -sweep memory,buffer [-json]
+//	mbsim -scenario schedule -param network=inceptionv3 -param grouping=optimal
 package main
 
 import (
@@ -55,15 +54,6 @@ func main() {
 	scenario := flag.String("scenario", "", "run a registered scenario by name (see -list)")
 	params := paramFlags{}
 	flag.Var(params, "param", "scenario parameter as key=value (repeatable)")
-	fig := flag.Int("fig", 0, "regenerate a paper figure (3-5, 10-14); shorthand for -scenario figN")
-	table := flag.Int("table", 0, "regenerate a paper table (2); shorthand for -scenario table2")
-	all := flag.Bool("all", false, "run every figure and table; shorthand for -scenario all")
-	network := flag.String("network", "", "simulate a single network instead")
-	config := flag.String("config", "MBS2", "configuration for -network/-sweep")
-	memory := flag.String("memory", "HBM2", "memory type for -network/-sweep (HBM2, HBM2x2, GDDR5, LPDDR4)")
-	batch := flag.Int("batch", 0, "per-core mini-batch for -network/-sweep (0 = network default)")
-	buffer := flag.Int64("buffer", 0, "global buffer MiB for -network/-sweep (0 = 10 MiB default)")
-	sweepAxes := flag.String("sweep", "", "comma-separated axes to sweep with -network (network, config, memory, batch, buffer)")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = all cores)")
 	jsonOut := flag.Bool("json", false, "emit structured JSON instead of tables")
 	version := flag.Bool("version", false, "print build identity and exit")
@@ -77,6 +67,14 @@ func main() {
 		printRegistry()
 		return
 	}
+	if *scenario == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	s, ok := experiments.Lookup(*scenario)
+	if !ok {
+		fatal(fmt.Errorf("mbsim: unknown scenario %q (run mbsim -list)", *scenario))
+	}
 
 	// Ctrl-C cancels the in-flight sweep cleanly: workers drain, nothing is
 	// half-written, and the process exits with the conventional 130.
@@ -85,41 +83,6 @@ func main() {
 
 	e := sweep.New(*parallel)
 	r := experiments.Runner{E: e}
-
-	// The legacy flags are shorthands: each resolves to a scenario name plus
-	// params, so every entry point runs through one registry path.
-	name := *scenario
-	cellParams := func() {
-		params["network"] = *network
-		params["config"] = *config
-		params["memory"] = *memory
-		params["batch"] = fmt.Sprint(*batch)
-		params["buffer"] = fmt.Sprint(*buffer)
-	}
-	switch {
-	case name != "":
-	case *all:
-		name = "all"
-	case *table != 0:
-		name = fmt.Sprintf("table%d", *table)
-	case *fig != 0:
-		name = fmt.Sprintf("fig%d", *fig)
-	case *sweepAxes != "":
-		name = "sweep"
-		cellParams()
-		params["axes"] = *sweepAxes
-	case *network != "":
-		name = "single"
-		cellParams()
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	s, ok := experiments.Lookup(name)
-	if !ok {
-		fatal(fmt.Errorf("mbsim: unknown scenario %q (run mbsim -list)", name))
-	}
 	if *jsonOut {
 		data, err := s.Run(ctx, r, experiments.Params(params), nil)
 		if err != nil {
@@ -133,13 +96,9 @@ func main() {
 	if _, err := s.Run(ctx, r, experiments.Params(params), os.Stdout); err != nil {
 		fatal(err)
 	}
-	// CLI-only trailers, outside the scenario render so server text output
-	// stays a pure function of the params: -fig keeps its historical
-	// trailing blank line, -sweep its cache-reuse summary.
-	if *fig != 0 {
-		fmt.Println()
-	}
-	if name == "sweep" {
+	// A CLI-only trailer, outside the scenario render so server text output
+	// stays a pure function of the params.
+	if s.Name == "sweep" {
 		st := e.Cache().Stats()
 		fmt.Printf("cache: %d plans built, %d reused\n", st.PlanMisses, st.PlanHits)
 	}

@@ -1,14 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section. Each function both returns the structured data series
-// and renders the same rows the paper reports, so the cmd binaries, the
-// examples and the benchmark harness all share one implementation.
+// evaluation section and the MBS schedule views behind them. Each Runner
+// method both returns the structured data series and renders the same rows
+// the paper reports; the scenario registry (registry.go) names each view
+// with typed params, and mbsim, mbsd and the golden tests run them only
+// through it, so rendered and structured outputs cannot drift.
 //
 // Every figure is expressed as a sweep over experiment cells and executed on
 // a sweep.Engine: a Runner bound to a multi-worker engine evaluates the grid
-// concurrently (with built networks, schedules and traffic ledgers shared
-// through the engine's cache), while the package-level convenience functions
-// run on a fresh single-worker engine. Result ordering — and therefore the
-// rendered output — is identical for any worker count.
+// concurrently, with built networks, schedules and traffic ledgers shared
+// through the engine's cache. Result ordering — and therefore the rendered
+// output — is identical for any worker count.
 package experiments
 
 import (
@@ -34,31 +35,15 @@ var DeepCNNs = []string{"resnet50", "resnet101", "resnet152", "inceptionv3", "in
 // Runner{E: sweep.New(0)} for a parallel run over all cores.
 //
 // Every method takes a context.Context: a cancelled context stops the
-// underlying grid promptly and the method returns the context's error. The
-// package-level convenience wrappers run on context.Background() and keep
-// their historical one-shot semantics (panicking on the engine errors that
-// static grids cannot produce).
+// underlying grid promptly and the method returns the context's error.
 type Runner struct {
 	E *sweep.Engine
 }
-
-// seqRunner returns a fresh sequential runner, used by the package-level
-// convenience wrappers to preserve their original one-shot semantics.
-func seqRunner() Runner { return Runner{E: sweep.New(1)} }
 
 // plan builds (or fetches from the engine cache) the default schedule for
 // (network, config).
 func (r Runner) plan(ctx context.Context, name string, cfg core.Config) (*core.Schedule, error) {
 	return r.E.Plan(ctx, name, core.DefaultOptions(cfg, models.DefaultBatch(name)))
-}
-
-// must panics on err — the package-level wrappers' historical behaviour for
-// the fixed paper grids, whose cells cannot fail.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // --- Fig. 3 -----------------------------------------------------------------
@@ -74,9 +59,6 @@ type Fig3Row struct {
 // Fig3 computes the per-layer inter-layer data and parameter sizes of
 // ResNet-50 with a 32-sample mini-batch at 16-bit words, sorted descending
 // by inter-layer size as in the paper's plot.
-func Fig3(w io.Writer) []Fig3Row { return must(seqRunner().Fig3(context.Background(), w)) }
-
-// Fig3 is the engine-backed form of the package-level Fig3.
 func (r Runner) Fig3(ctx context.Context, w io.Writer) ([]Fig3Row, error) {
 	net, err := r.E.Network(ctx, "resnet50")
 	if err != nil {
@@ -128,9 +110,6 @@ type Fig4Row struct {
 // Fig4 computes ResNet-50's per-block inter-layer data size, minimal
 // iteration count, and the resulting MBS layer grouping (32 samples,
 // 10 MiB).
-func Fig4(w io.Writer) []Fig4Row { return must(seqRunner().Fig4(context.Background(), w)) }
-
-// Fig4 is the engine-backed form of the package-level Fig4.
 func (r Runner) Fig4(ctx context.Context, w io.Writer) ([]Fig4Row, error) {
 	net, err := r.E.Network(ctx, "resnet50")
 	if err != nil {
@@ -170,11 +149,6 @@ func (r Runner) Fig4(ctx context.Context, w io.Writer) ([]Fig4Row, error) {
 // --- Fig. 5 -----------------------------------------------------------------
 
 // Fig5 prints the concrete MBS schedules (MBS1 and MBS2) for a network.
-func Fig5(w io.Writer, network string) ([]*core.Schedule, error) {
-	return seqRunner().Fig5(context.Background(), w, network)
-}
-
-// Fig5 is the engine-backed form of the package-level Fig5.
 func (r Runner) Fig5(ctx context.Context, w io.Writer, network string) ([]*core.Schedule, error) {
 	var out []*core.Schedule
 	for _, cfg := range []core.Config{core.MBS1, core.MBS2} {
@@ -211,11 +185,6 @@ type Fig10Cell struct {
 // Fig10 runs all six configurations on the given networks (default: all
 // six CNNs) over the baseline HBM2 memory and reports per-step time, energy
 // and DRAM traffic, normalized as in the paper's Fig. 10.
-func Fig10(w io.Writer, networks ...string) ([]Fig10Cell, error) {
-	return seqRunner().Fig10(context.Background(), w, networks...)
-}
-
-// Fig10 is the engine-backed form of the package-level Fig10.
 func (r Runner) Fig10(ctx context.Context, w io.Writer, networks ...string) ([]Fig10Cell, error) {
 	if len(networks) == 0 {
 		networks = DeepCNNs
@@ -294,9 +263,6 @@ type Fig11Point struct {
 
 // Fig11 sweeps the global buffer from 5 to 40 MiB for ResNet-50 across IL
 // and the MBS variants, normalizing to IL at 5 MiB as in the paper.
-func Fig11(w io.Writer) []Fig11Point { return must(seqRunner().Fig11(context.Background(), w)) }
-
-// Fig11 is the engine-backed form of the package-level Fig11.
 func (r Runner) Fig11(ctx context.Context, w io.Writer) ([]Fig11Point, error) {
 	var cells []sweep.Cell
 	for _, mib := range []int64{5, 10, 20, 30, 40} {
@@ -349,9 +315,6 @@ type Fig12Point struct {
 
 // Fig12 sweeps memory technologies for ResNet-50 and reports the per-layer-
 // type execution time breakdown.
-func Fig12(w io.Writer) []Fig12Point { return must(seqRunner().Fig12(context.Background(), w)) }
-
-// Fig12 is the engine-backed form of the package-level Fig12.
 func (r Runner) Fig12(ctx context.Context, w io.Writer) ([]Fig12Point, error) {
 	grid := sweep.Grid{
 		Networks: []string{"resnet50"},
@@ -406,9 +369,6 @@ type Fig13Point struct {
 
 // Fig13 compares the V100 model (conventional training, 64-sample
 // mini-batch) against one WaveCore chip running MBS2 (2 cores x 32).
-func Fig13(w io.Writer) []Fig13Point { return must(seqRunner().Fig13(context.Background(), w)) }
-
-// Fig13 is the engine-backed form of the package-level Fig13.
 func (r Runner) Fig13(ctx context.Context, w io.Writer) ([]Fig13Point, error) {
 	gpu := sim.DefaultV100()
 	networks := []string{"resnet50", "resnet101", "resnet152", "inceptionv3"}
@@ -472,9 +432,6 @@ type Fig14Cell struct {
 
 // Fig14 measures systolic-array utilization with unlimited DRAM bandwidth
 // for all networks and the five compute-relevant configurations.
-func Fig14(w io.Writer) []Fig14Cell { return must(seqRunner().Fig14(context.Background(), w)) }
-
-// Fig14 is the engine-backed form of the package-level Fig14.
 func (r Runner) Fig14(ctx context.Context, w io.Writer) ([]Fig14Cell, error) {
 	configs := []core.Config{core.Baseline, core.ArchOpt, core.MBSFS, core.MBS1, core.MBS2}
 	grid := sweep.Grid{
@@ -520,8 +477,3 @@ func (r Runner) Fig14(ctx context.Context, w io.Writer) ([]Fig14Cell, error) {
 	}
 	return cells, nil
 }
-
-// The scenario registry in registry.go is the single definition of the
-// runnable evaluation suite: every figure and table above is registered as
-// a named Scenario with typed params, and mbsim, mbsd and the golden tests
-// all execute through it, so rendered and structured outputs cannot drift.

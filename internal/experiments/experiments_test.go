@@ -8,10 +8,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
+// seq returns a fresh one-worker runner for the figure tests.
+func seq() Runner { return Runner{E: sweep.New(1)} }
+
 func TestFig3SortedAndPlausible(t *testing.T) {
-	rows := Fig3(io.Discard)
+	rows, err := seq().Fig3(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) < 100 {
 		t.Fatalf("ResNet-50 has >100 layers, got %d rows", len(rows))
 	}
@@ -39,7 +46,10 @@ func TestFig3SortedAndPlausible(t *testing.T) {
 }
 
 func TestFig4GroupsCoverAllBlocks(t *testing.T) {
-	rows := Fig4(io.Discard)
+	rows, err := seq().Fig4(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 20 {
 		t.Fatalf("rows = %d, want 20 ResNet-50 blocks", len(rows))
 	}
@@ -70,7 +80,7 @@ func TestFig4GroupsCoverAllBlocks(t *testing.T) {
 
 func TestFig5RendersBothSchedules(t *testing.T) {
 	var b strings.Builder
-	scheds, err := Fig5(&b, "resnet50")
+	scheds, err := seq().Fig5(context.Background(), &b, "resnet50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +90,13 @@ func TestFig5RendersBothSchedules(t *testing.T) {
 	if !strings.Contains(b.String(), "MBS1") || !strings.Contains(b.String(), "MBS2") {
 		t.Error("rendering missing configs")
 	}
-	if _, err := Fig5(io.Discard, "nonexistent"); err == nil {
+	if _, err := seq().Fig5(context.Background(), io.Discard, "nonexistent"); err == nil {
 		t.Error("unknown network should error")
 	}
 }
 
 func TestFig10Shapes(t *testing.T) {
-	cells, err := Fig10(io.Discard, "resnet50")
+	cells, err := seq().Fig10(context.Background(), io.Discard, "resnet50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,10 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestFig11MBSInsensitive(t *testing.T) {
-	points := Fig11(io.Discard)
+	points, err := seq().Fig11(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mbs5, mbs40, il5, il40 float64
 	for _, p := range points {
 		switch {
@@ -141,7 +154,10 @@ func TestFig11MBSInsensitive(t *testing.T) {
 }
 
 func TestFig12Breakdown(t *testing.T) {
-	points := Fig12(io.Discard)
+	points, err := seq().Fig12(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 12 { // 4 configs x 3 memories
 		t.Fatalf("points = %d", len(points))
 	}
@@ -160,7 +176,10 @@ func TestFig12Breakdown(t *testing.T) {
 }
 
 func TestFig13AllWins(t *testing.T) {
-	points := Fig13(io.Discard)
+	points, err := seq().Fig13(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 16 { // 4 networks x 4 memories
 		t.Fatalf("points = %d", len(points))
 	}
@@ -172,7 +191,10 @@ func TestFig13AllWins(t *testing.T) {
 }
 
 func TestFig14AveragesMatchPaperShape(t *testing.T) {
-	cells := Fig14(io.Discard)
+	cells, err := seq().Fig14(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sums := map[core.Config]float64{}
 	n := map[core.Config]int{}
 	for _, c := range cells {

@@ -119,14 +119,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 // pair exactly once.
 func TestRunnerCacheReuse(t *testing.T) {
 	r := Runner{E: sweep.New(0)}
-	if err := r.All(context.Background(), io.Discard); err != nil {
+	all, _ := Lookup("all")
+	if _, err := all.Run(context.Background(), r, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	first := r.E.Cache().Stats()
 	if first.PlanHits == 0 {
 		t.Error("figures share cells; expected plan cache hits within one suite run")
 	}
-	if err := r.All(context.Background(), io.Discard); err != nil {
+	if _, err := all.Run(context.Background(), r, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	second := r.E.Cache().Stats()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -120,7 +121,7 @@ func (s *Scenario) resolve(p Params) (Params, error) {
 				s.Name, k, strings.Join(s.paramNames(), ", "))
 		}
 		if v == "" {
-			continue // empty means "use the default" (e.g. -sweep network with no -network)
+			continue // empty means "use the default" (e.g. -param network=)
 		}
 		if spec.Type == "int" {
 			n, err := strconv.Atoi(v)
@@ -207,18 +208,20 @@ func memoryNames() []string {
 	return names
 }
 
-// ConfigByName resolves an execution configuration case-insensitively.
-func ConfigByName(name string) (core.Config, error) {
-	for _, c := range core.Configs {
-		if strings.EqualFold(c.String(), name) {
-			return c, nil
-		}
+// groupings lists core's group-formation modes in enum order.
+var groupings = []core.GroupingMode{core.GroupGreedy, core.GroupOptimal, core.GroupNone}
+
+// groupingNames lists the group-formation modes for enum specs.
+func groupingNames() []string {
+	names := make([]string, len(groupings))
+	for i, g := range groupings {
+		names[i] = g.String()
 	}
-	return 0, fmt.Errorf("unknown config %q (have %s)", name, strings.Join(configNames(), ", "))
+	return names
 }
 
-// cellParams are the fixed-value specs shared by the single and sweep
-// scenarios; they mirror the mbsim flags they replaced.
+// cellParams are the fixed-value specs of one simulator cell, shared by the
+// single and sweep scenarios; schedule takes all but memory.
 func cellParams(defaultNetwork string) []api.ScenarioParam {
 	return []api.ScenarioParam{
 		{Name: "network", Type: "string", Default: defaultNetwork,
@@ -234,16 +237,20 @@ func cellParams(defaultNetwork string) []api.ScenarioParam {
 	}
 }
 
-// cellFromParams builds the sweep cell a single/sweep scenario's fixed
-// params describe.
+// cellFromParams builds the sweep cell a scenario's resolved cell params
+// describe. Without a memory param (schedule plans, it does not simulate)
+// the cell keeps the zero DRAM, which selects HBM2.
 func cellFromParams(p Params) (sweep.Cell, error) {
-	cfg, err := ConfigByName(p["config"])
-	if err != nil {
+	var cfg core.Config
+	if err := cfg.UnmarshalText([]byte(p["config"])); err != nil {
 		return sweep.Cell{}, err
 	}
-	mem, err := memsys.ByName(p["memory"])
-	if err != nil {
-		return sweep.Cell{}, err
+	var mem memsys.DRAM
+	if name, ok := p["memory"]; ok {
+		var err error
+		if mem, err = memsys.ByName(name); err != nil {
+			return sweep.Cell{}, err
+		}
 	}
 	batch, err := p.Int("batch")
 	if err != nil {
@@ -259,7 +266,7 @@ func cellFromParams(p Params) (sweep.Cell, error) {
 	}, nil
 }
 
-// suiteNames is the `mbsim -all` section order (paper order); the golden
+// suiteNames is the "all" scenario's section order (paper order); the golden
 // "all" output and the bare JSON section map are both derived from it.
 var suiteNames = []string{"fig10", "fig11", "fig12", "fig13", "fig14", "table2"}
 
@@ -308,7 +315,7 @@ func init() {
 			Name:        "fig10",
 			Description: "per-step time, energy and DRAM traffic across configurations (Fig. 10)",
 			Params: []api.ScenarioParam{{Name: "networks", Type: "list", Default: "",
-				Description: "comma-separated networks (empty = all six)"}},
+				Description: "comma-separated networks (empty = all six)", Enum: models.Names()}},
 			run: func(ctx context.Context, r Runner, p Params, w io.Writer) (any, error) {
 				return r.Fig10(ctx, w, p.List("networks")...)
 			},
@@ -345,7 +352,7 @@ func init() {
 			Name:        "table2",
 			Description: "accelerator specification comparison (Tab. 2)",
 			run: func(ctx context.Context, r Runner, p Params, w io.Writer) (any, error) {
-				return r.Table2(w), nil
+				return Table2(w), nil
 			},
 		},
 		{
@@ -417,6 +424,40 @@ func init() {
 						strings.Join(axes, ","), len(cells)), rows)
 				}
 				return rows, nil
+			},
+		},
+		{
+			Name:        "schedule",
+			Description: "MBS schedule and DRAM traffic ledger for one network and configuration",
+			Params: append(slices.DeleteFunc(cellParams("resnet50"), func(p api.ScenarioParam) bool { return p.Name == "memory" }),
+				api.ScenarioParam{Name: "grouping", Type: "string", Default: "greedy",
+					Description: "group formation", Enum: groupingNames()}),
+			run: func(ctx context.Context, r Runner, p Params, w io.Writer) (any, error) {
+				cell, err := cellFromParams(p)
+				if err != nil {
+					return nil, err
+				}
+				opts := cell.Options()
+				for _, g := range groupings {
+					if g.String() == p["grouping"] {
+						opts.Grouping = g
+					}
+				}
+				s, err := r.E.Plan(ctx, cell.Network, opts)
+				if err != nil {
+					return nil, err
+				}
+				tr, err := r.E.Traffic(ctx, cell.Network, opts)
+				if err != nil {
+					return nil, err
+				}
+				// As in fig5, JSON carries the texts: the schedule's struct
+				// graph is cyclic (Schedule -> Network).
+				sched, traffic := s.String(), tr.String()
+				if w != nil {
+					fmt.Fprint(w, sched+traffic)
+				}
+				return map[string]string{"schedule": sched, "traffic": traffic}, nil
 			},
 		},
 	}
@@ -511,14 +552,6 @@ func Infos() []api.ScenarioInfo {
 		infos[i] = s.Info()
 	}
 	return infos
-}
-
-// All regenerates the full suite, sections separated by blank lines —
-// exactly as `mbsim -all` prints it.
-func (r Runner) All(ctx context.Context, w io.Writer) error {
-	s, _ := Lookup("all")
-	_, err := s.Run(ctx, r, nil, w)
-	return err
 }
 
 func init() {

@@ -9,12 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/models"
 	"repro/internal/sweep"
 )
 
 func TestRegistryNamesAndLookup(t *testing.T) {
 	want := []string{"fig3", "fig4", "fig5", "fig10", "fig11", "fig12", "fig13",
-		"fig14", "table2", "all", "single", "sweep"}
+		"fig14", "table2", "all", "single", "sweep", "schedule"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -62,8 +64,7 @@ func TestScenarioRejectsEnumViolation(t *testing.T) {
 	if _, err := single.Run(context.Background(), r, Params{"config": "mbs2"}, io.Discard); err != nil {
 		t.Errorf("lowercase config rejected: %v", err)
 	}
-	// An empty value means "use the default" (the legacy -sweep flags pass
-	// empty fixed values for unset flags).
+	// An empty value means "use the default".
 	sw, _ := Lookup("sweep")
 	if _, err := sw.Run(context.Background(), r, Params{"network": "", "axes": "config"}, io.Discard); err != nil {
 		t.Errorf("empty network with default: %v", err)
@@ -186,6 +187,7 @@ func TestParamErrorsAreTyped(t *testing.T) {
 		{"single", Params{"batch": "many"}},
 		{"single", Params{"network": "vgg16"}},
 		{"sweep", Params{"axes": "frequency"}},
+		{"fig10", Params{"networks": "resnet50,bogus"}},
 	}
 	for _, c := range cases {
 		s, _ := Lookup(c.scenario)
@@ -263,13 +265,63 @@ func TestResolveCanonicalizesEnums(t *testing.T) {
 	if p, err = s.resolve(Params{"axes": " , "}); err != nil || p["axes"] != "buffer" {
 		t.Errorf("separator-only list resolved to %q (err %v), want the default", p["axes"], err)
 	}
+	fig10, _ := Lookup("fig10")
+	if p, err = fig10.resolve(Params{"networks": "ResNet50, alexnet"}); err != nil || p["networks"] != "resnet50,alexnet" {
+		t.Errorf("fig10 networks resolved to %q (err %v), want resnet50,alexnet", p["networks"], err)
+	}
+}
+
+// TestScheduleParamsReachPlanner: for each param set, the schedule
+// scenario's text and JSON texts equal core.Plan + core.ComputeTraffic built
+// directly from the options the params name. The golden pins only the
+// defaults; here a param that stops reaching the planner fails.
+func TestScheduleParamsReachPlanner(t *testing.T) {
+	s, _ := Lookup("schedule")
+	r := Runner{E: sweep.New(0)}
+	cases := []struct {
+		params  Params
+		network string
+		opts    core.Options
+	}{
+		{nil, "resnet50", core.Options{Config: core.MBS2, Batch: 32, BufferBytes: 10 << 20}},
+		{Params{"network": "inceptionv3", "config": "MBS1", "batch": "32", "buffer": "5", "grouping": "optimal"},
+			"inceptionv3", core.Options{Config: core.MBS1, Batch: 32, BufferBytes: 5 << 20, Grouping: core.GroupOptimal}},
+		{Params{"network": "alexnet", "config": "Baseline"},
+			"alexnet", core.Options{Config: core.Baseline, Batch: 64, BufferBytes: 10 << 20}},
+		{Params{"network": "resnet152", "grouping": "none", "buffer": "20"},
+			"resnet152", core.Options{Config: core.MBS2, Batch: 32, BufferBytes: 20 << 20, Grouping: core.GroupNone}},
+		{Params{"network": "resnet101", "config": "mbs-fs", "batch": "16"},
+			"resnet101", core.Options{Config: core.MBSFS, Batch: 16, BufferBytes: 10 << 20}},
+	}
+	for _, c := range cases {
+		net, err := models.Build(c.network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.Plan(net, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plan.String() + core.ComputeTraffic(plan).String()
+		var text bytes.Buffer
+		data, err := s.Run(context.Background(), r, c.params, &text)
+		if err != nil {
+			t.Fatalf("%v: %v", c.params, err)
+		}
+		if text.String() != want {
+			t.Errorf("%v: text\n%s\nwant\n%s", c.params, text.String(), want)
+		}
+		if view := data.(map[string]string); view["schedule"]+view["traffic"] != want {
+			t.Errorf("%v: JSON texts %q, want %q", c.params, view, want)
+		}
+	}
 }
 
 // FuzzScenarioParams: Validate never panics on any scenario and any
 // key/value pairs, and every error it returns is a *ParamError naming the
-// scenario. For single and sweep, an accepted set builds its cells, each
-// with the params' batch and buffer MiB count intact unless that axis is
-// swept.
+// scenario. An accepted schedule set runs to completion on a one-worker
+// runner. For single and sweep, an accepted set builds its cells, each with
+// the params' batch and buffer MiB count intact unless that axis is swept.
 func FuzzScenarioParams(f *testing.F) {
 	index := func(name string) uint8 {
 		for i, n := range Names() {
@@ -288,6 +340,11 @@ func FuzzScenarioParams(f *testing.F) {
 	f.Add(sweepIdx, "axes", ",", "batch", "65536")
 	f.Add(index("fig5"), "network", "alexnet", "bogus", "1")
 	f.Add(index("fig10"), "networks", "resnet50,alexnet", "", "")
+	f.Add(index("fig10"), "networks", "ResNet50,bogus", "", "")
+	sched := index("schedule")
+	f.Add(sched, "grouping", "Optimal", "network", "resnet152")
+	f.Add(sched, "batch", "65536", "buffer", "1")
+	f.Add(sched, "buffer", "8796093022207", "config", "Baseline")
 	f.Fuzz(func(t *testing.T, idx uint8, k1, v1, k2, v2 string) {
 		s := Scenarios()[int(idx)%len(Scenarios())]
 		p := Params{k1: v1, k2: v2}
@@ -295,6 +352,12 @@ func FuzzScenarioParams(f *testing.F) {
 			var pe *ParamError
 			if !errors.As(err, &pe) || pe.Scenario != s.Name {
 				t.Fatalf("%s %q: Validate error %T (%v), want a *ParamError for the scenario", s.Name, p, err, err)
+			}
+			return
+		}
+		if s.Name == "schedule" {
+			if _, err := s.Run(context.Background(), Runner{E: sweep.New(1)}, p, nil); err != nil {
+				t.Fatalf("schedule %q: accepted params do not run: %v", p, err)
 			}
 			return
 		}

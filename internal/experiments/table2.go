@@ -19,14 +19,10 @@ type Table2Row struct {
 	BuffersMiB string
 }
 
-// Table2 is the engine-backed form of the package-level Table2. The table
-// is pure arithmetic over the area model, so no cells are scheduled; the
-// method exists so a Runner covers the complete mbsim -all suite.
-func (r Runner) Table2(w io.Writer) []Table2Row { return Table2(w) }
-
 // Table2 reproduces the accelerator comparison table. The V100/TPU columns
 // are the published figures the paper cites; the WaveCore column is
-// computed from the area/power model.
+// computed from the area/power model, so unlike the figures it needs no
+// Runner or engine.
 func Table2(w io.Writer) []Table2Row {
 	a := energy.DefaultAreaModel()
 	rows := []Table2Row{

@@ -162,6 +162,7 @@ func TestRunErrors(t *testing.T) {
 		{`{"scenario":"single","params":{"buffer":"9000000000000"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"single","params":{"buffer":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"single","params":{"batch":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"fig10","params":{"networks":"resnet50,bogus"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"fig10","format":"yaml"}`, http.StatusBadRequest, "bad_request"},
 		{`not json`, http.StatusBadRequest, "bad_request"},
 	}
@@ -364,6 +365,7 @@ func TestV2SubmitErrors(t *testing.T) {
 		{`{"scenario":"single","params":{"buffer":"9000000000000"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"single","params":{"buffer":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`{"scenario":"single","params":{"batch":"-1"}}`, http.StatusUnprocessableEntity, "invalid_params"},
+		{`{"scenario":"fig10","params":{"networks":"resnet50,bogus"}}`, http.StatusUnprocessableEntity, "invalid_params"},
 		{`nope`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, c := range cases {
