@@ -517,10 +517,10 @@ func BenchmarkTrainStepMBS(b *testing.B) {
 // SetMBSPlan) across a sub-batch × cache-budget grid.
 // budget=auto plans under the detected cache size (usually one group on a
 // large-L3 host); the byte budgets force multi-group schedules that stash
-// boundary activations and re-forward groups on the backward pass, which
-// is the paper's cache-residency trade. Gradients are bit-identical to
-// BenchmarkTrainStepMBS on the same shapes — compare ns/op, B/op and
-// allocs/op directly.
+// boundary activations and each earlier group's backward state at full
+// batch, which is the paper's cache-residency trade. Gradients are
+// bit-identical to BenchmarkTrainStepMBS on the same shapes — compare
+// ns/op, B/op and allocs/op directly.
 func BenchmarkTrainStepMBSGrouped(b *testing.B) {
 	budgets := []struct {
 		name  string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -124,13 +125,30 @@ func (s *Schedule) String() string {
 		for i := g.First; i <= g.Last; i++ {
 			names = append(names, s.Net.Blocks[i].Name)
 		}
-		sizes := g.SubBatchSizes(s.Opts.Batch)
-		strs := make([]string, len(sizes))
-		for i, v := range sizes {
-			strs[i] = fmt.Sprintf("%d", v)
-		}
 		fmt.Fprintf(&b, "  Group%d: %d iterations, sizes=%s  [%s]\n",
-			gi+1, g.Iterations, strings.Join(strs, ","), strings.Join(names, " "))
+			gi+1, g.Iterations, runLengths(g.SubBatchSizes(s.Opts.Batch)), strings.Join(names, " "))
+	}
+	return b.String()
+}
+
+// runLengths writes sizes comma-separated, a run of two or more equal
+// consecutive sizes as SIZExCOUNT (3,3,3,2 → 3x3,2), so the text stays
+// short at any batch.
+func runLengths(sizes []int) string {
+	var b strings.Builder
+	for i := 0; i < len(sizes); {
+		j := i + 1
+		for j < len(sizes) && sizes[j] == sizes[i] {
+			j++
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(sizes[i]))
+		if j-i >= 2 {
+			fmt.Fprintf(&b, "x%d", j-i)
+		}
+		i = j
 	}
 	return b.String()
 }

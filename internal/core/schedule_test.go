@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/models"
 )
 
 // tinyNet builds a 4-block toy network whose footprints shrink with depth.
@@ -257,5 +262,72 @@ func TestConfigStrings(t *testing.T) {
 		if c.String() != w {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), w)
 		}
+	}
+}
+
+// TestScheduleSizesRunLength: Schedule.String writes each group's sizes as
+// runs (SIZExCOUNT for two or more equal sizes), every group's field
+// expands back to its SubBatchSizes, and a serialization into 65536
+// one-sample iterations stays a short line.
+func TestScheduleSizesRunLength(t *testing.T) {
+	cases := []struct {
+		network string
+		opts    Options
+	}{
+		{"resnet50", Options{Config: MBS2, Batch: 32, BufferBytes: 10 << 20}},
+		{"inceptionv3", Options{Config: MBS1, Batch: 32, BufferBytes: 5 << 20, Grouping: GroupOptimal}},
+		{"alexnet", Options{Config: Baseline, Batch: 64, BufferBytes: 10 << 20}},
+		{"resnet152", Options{Config: MBS2, Batch: 32, BufferBytes: 20 << 20, Grouping: GroupNone}},
+		{"resnet152", Options{Config: MBS2, Batch: 65536, BufferBytes: 1 << 20}},
+	}
+	expand := func(field string) ([]int, error) {
+		var out []int
+		for _, run := range strings.Split(field, ",") {
+			size, count, found := strings.Cut(run, "x")
+			v, err := strconv.Atoi(size)
+			if err != nil {
+				return nil, err
+			}
+			n := 1
+			if found {
+				if n, err = strconv.Atoi(count); err != nil || n < 2 {
+					return nil, fmt.Errorf("bad run %q", run)
+				}
+			}
+			for ; n > 0; n-- {
+				out = append(out, v)
+			}
+		}
+		return out, nil
+	}
+	for _, c := range cases {
+		net, err := models.Build(c.network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := MustPlan(net, c.opts)
+		text := s.String()
+		ctx := fmt.Sprintf("%s batch %d", c.network, c.opts.Batch)
+		lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")[1:]
+		if len(lines) != len(s.Groups) {
+			t.Fatalf("%s: %d group lines for %d groups:\n%s", ctx, len(lines), len(s.Groups), text)
+		}
+		for gi, g := range s.Groups {
+			_, rest, _ := strings.Cut(lines[gi], "sizes=")
+			field, _, _ := strings.Cut(rest, "  [")
+			got, err := expand(field)
+			if err != nil {
+				t.Fatalf("%s group %d: sizes=%s: %v", ctx, gi+1, field, err)
+			}
+			if want := g.SubBatchSizes(c.opts.Batch); !slices.Equal(got, want) {
+				t.Errorf("%s group %d: sizes=%s expands to %v, want %v", ctx, gi+1, field, got, want)
+			}
+		}
+		if c.opts.Batch == 65536 && len(text) >= 4096 {
+			t.Errorf("%s: schedule text is %d bytes, want under 4096", ctx, len(text))
+		}
+	}
+	if got := runLengths([]int{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2}); got != "3x10,2" {
+		t.Errorf("runLengths = %q, want 3x10,2", got)
 	}
 }

@@ -175,20 +175,37 @@ func TestTrainingConverges(t *testing.T) {
 	}
 }
 
+// TestPreActMeanRecorded: Fig. 6 reads each norm layer's pre-activation
+// mean right after Model.Evaluate. GroupNorm records it on evaluation
+// forwards only, so a training forward leaves it untouched; BatchNorm
+// records it on training forwards, under batch statistics, and an
+// evaluation forward leaves it untouched.
 func TestPreActMeanRecorded(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := BuildSmallCNN(rng, 3, 16, 4, NormGroup, 4)
-	x := tensor.New(4, 3, 16, 16)
-	x.Randn(rng, 1)
-	m.Net.Forward(x, true)
-	for _, l := range m.NormLayers() {
-		mean := PreActMean(l)
-		if math.IsNaN(mean) {
-			t.Error("pre-activation mean not recorded")
+	for _, norm := range []NormKind{NormGroup, NormBatch} {
+		rng := rand.New(rand.NewSource(10))
+		m := BuildSmallCNN(rng, 3, 16, 4, norm, 4)
+		x := tensor.New(4, 3, 16, 16)
+		x.Randn(rng, 1)
+		train := norm == NormBatch // the forward mode that records
+		m.Net.Forward(x, train)
+		var recorded []float64
+		for _, l := range m.NormLayers() {
+			mean := PreActMean(l)
+			if math.IsNaN(mean) || mean == 0 {
+				t.Errorf("%v: pre-activation mean not recorded (%g)", norm, mean)
+			}
+			// Normalized outputs (gamma=1, beta=0) have near-zero mean.
+			if math.Abs(mean) > 0.5 {
+				t.Errorf("%v: pre-activation mean %g implausibly far from 0", norm, mean)
+			}
+			recorded = append(recorded, mean)
 		}
-		// Normalized outputs (gamma=1, beta=0) have near-zero mean.
-		if math.Abs(mean) > 0.5 {
-			t.Errorf("pre-activation mean %g implausibly far from 0", mean)
+		x.Randn(rng, 1)
+		m.Net.Forward(x, !train)
+		for i, l := range m.NormLayers() {
+			if got := PreActMean(l); got != recorded[i] {
+				t.Errorf("%v: forward with train=%v changed the recorded mean %g to %g", norm, !train, recorded[i], got)
+			}
 		}
 	}
 }

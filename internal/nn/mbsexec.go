@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -15,37 +16,49 @@ import (
 // plain MBS flow: every sub-batch runs forward, loss and backward through
 // all layers before the next one starts.
 //
-// Schedule (group-level checkpointing):
+// Schedule (the paper's stash):
 //
 //	forward phase:   for g = 0..G-2, for every sub-batch span: forward the
-//	                 group and stash its output rows in the full-batch
-//	                 boundary buffer (the paper's one deliberate DRAM trip).
-//	last group:      per span, fused forward + loss + backward — no
-//	                 recompute, gradients accumulate immediately.
-//	backward phase:  for g = G-2..0, per span: re-forward the group from its
-//	                 boundary input (recompute restores the arena's
-//	                 activations bit-exactly), then backward with the
-//	                 boundary gradient stashed by group g+1.
+//	                 group, writing its output rows in place into the
+//	                 full-batch boundary buffer and what its backward reads
+//	                 (im2col packings, xhat, a Linear's input, ReLU masks,
+//	                 norm statistics, argmax maps) into the span's own
+//	                 region of the group's stash (the paper's one deliberate
+//	                 DRAM trip).
+//	last group:      per span, fused forward + loss + backward — gradients
+//	                 accumulate immediately.
+//	backward phase:  for g = G-2..0, per span: re-install the span's stash
+//	                 and run the group's backward from the boundary gradient
+//	                 group g+1 wrote, writing the input gradient in place
+//	                 into the other boundary-gradient slab. No layer runs a
+//	                 forward twice.
 //
 // Bit-identity to a layer-by-layer sub-batch loop (kept as the tests'
 // reference): every parameter's gradient receives its per-span addend in the
 // same ascending span order, each addend computed from bit-identical inputs
 // (deterministic kernels + per-sample GroupNorm statistics), so the
 // accumulated sums match to the last bit, for any group count and thread
-// count.
+// count. BatchNorm's running statistics update once per span forward, in
+// span order, as in that loop.
 //
-// All intra-group buffers live at planned offsets of one shared float slab
-// sized for the largest group; per-unit input gradients collapse into two
-// ping-pong slots at the slab tail (unit-parity alternation). Install is a
-// per-span loop of pointer assignments, so a step makes zero steady-state
-// allocations on one kernel thread; at more threads the kernels' goroutine
-// fan-out allocates (see the package doc).
+// Buffers that do not outlive a span — forward scratch, backward-only
+// gradients and, in the last group, the stash as well — live at planned
+// offsets of one shared float slab sized for the largest group; per-unit
+// input gradients collapse into two ping-pong slots at the slab tail
+// (unit-parity alternation). Install is a per-span loop of pointer
+// assignments, so a step makes zero steady-state allocations on one kernel
+// thread; at more threads the kernels' goroutine fan-out allocates (see the
+// package doc).
 
 type mbsSpan struct{ from, to, size int }
 
-// mbsBundle is the install list of one (group, sub-batch size): closures
-// that point every layer-owned buffer at its planned arena view.
-type mbsBundle struct{ installs []func() }
+// mbsBundle is the install list of one sub-batch span of a group (the last
+// group's full spans share one): closures that point every layer-owned
+// buffer, and in earlier groups every cached forward input, at its view.
+type mbsBundle struct {
+	installs []func()
+	auxBytes int64 // aux state allocated for this bundle alone
+}
 
 func (b *mbsBundle) install() {
 	for _, f := range b.installs {
@@ -53,10 +66,19 @@ func (b *mbsBundle) install() {
 	}
 }
 
+// spanPlace is where a span bundle of a group before the last puts what
+// lives past the span's forward.
+type spanPlace struct {
+	stash []float64      // the span's region of the group's stash slab
+	in    *tensor.Tensor // the group's input rows for the span
+	out   *tensor.Tensor // the span's rows of the group's boundary
+	dIn   *tensor.Tensor // the span's rows of the input-gradient slab; nil in group 0
+}
+
 type execGroup struct {
 	first, last int
-	sub, rem    *mbsBundle
-	outElems    int // per-sample elems of the group's output
+	bundles     []*mbsBundle // [span]
+	outElems    int          // per-sample elems of the group's output
 }
 
 type mbsExec struct {
@@ -72,6 +94,7 @@ type mbsExec struct {
 
 	boundary   []*tensor.Tensor   // [b]: full-batch activations at boundary b
 	boundViews [][]*tensor.Tensor // [b][span]: input views for group b+1
+	stash      [][]float64        // [g]: stash slab of group g < G-1, span after span
 	dBound     [2][]float64       // boundary-gradient ping-pong slabs
 	dyViews    [][]*tensor.Tensor // [b][span]: gradient views at boundary b
 	xViews     []*tensor.Tensor   // [span]: group-0 views (Data set per call)
@@ -100,46 +123,87 @@ func groupFloats(units []unitSpec, first, last int) (retained, maxTransient int)
 	return retained, maxTransient
 }
 
-// buildBundle lays the group's buffers out in the shared arena — retained
-// buffers at ascending walk-order offsets, transients in the two ping-pong
-// slots at the tail by unit parity — and returns the install list.
-func buildBundle(units []unitSpec, first, last int, arena []float64) *mbsBundle {
+// buildBundle lays the group's buffers out and returns the install list.
+// Retained buffers sit at ascending walk-order arena offsets, transients in
+// the two ping-pong slots at the tail by unit parity. With a spanPlace
+// (groups before the last) the stash goes to the span's stash region
+// instead, the group's output and first input gradient are the span's
+// boundary rows, every aux buffer is the span's own, and every cached
+// forward input is re-pointed at the span's tensors.
+func buildBundle(units []unitSpec, first, last int, arena []float64, sp *spanPlace) *mbsBundle {
 	retained, maxT := groupFloats(units, first, last)
-	off, tbase := 0, retained
-	var installs []func()
+	off, tbase, soff := 0, retained, 0
+	bd := &mbsBundle{}
+	var in *tensor.Tensor
+	if sp != nil {
+		in = sp.in
+	}
 	for i := first; i <= last; i++ {
-		for _, b := range units[i].bufs {
+		u := &units[i]
+		views := make([]*tensor.Tensor, len(u.bufs))
+		for j, b := range u.bufs {
 			var sl []float64
-			if b.retained {
+			switch {
+			case sp != nil && i == last && j == u.out:
+				views[j] = sp.out
+			case sp != nil && i == first && !b.retained && sp.dIn != nil:
+				views[j] = sp.dIn
+			case sp != nil && b.stash:
+				sl = sp.stash[soff : soff+b.elems]
+				soff += b.elems
+			case b.retained:
 				sl = arena[off : off+b.elems]
 				off += b.elems
-			} else {
+			default:
 				lo := tbase + (i%2)*maxT
 				sl = arena[lo : lo+b.elems]
 			}
-			if b.shape != nil {
-				f, t := b.installT, tensor.FromSlice(sl, b.shape...)
-				installs = append(installs, func() { f(t) })
-			} else {
+			if b.shape == nil {
 				f, s := b.installS, sl
-				installs = append(installs, func() { f(s) })
+				bd.installs = append(bd.installs, func() { f(s) })
+				continue
 			}
+			if views[j] == nil {
+				views[j] = tensor.FromSlice(sl, b.shape...)
+			}
+			f, t := b.installT, views[j]
+			bd.installs = append(bd.installs, func() { f(t) })
 		}
-		for _, a := range units[i].aux {
+		if sp != nil {
+			for _, r := range u.inputs {
+				f, t := r.install, in
+				if r.buf >= 0 {
+					t = views[r.buf]
+				}
+				bd.installs = append(bd.installs, func() { f(t) })
+			}
+			in = views[u.out]
+		}
+		for _, a := range u.aux {
 			switch {
 			case a.installB != nil:
-				f, buf := a.installB, make([]bool, a.elems)
-				installs = append(installs, func() { f(buf) })
+				f, buf := a.installB, auxSlice[bool](a.elems, &bd.auxBytes)
+				bd.installs = append(bd.installs, func() { f(buf) })
 			case a.installI != nil:
-				f, buf := a.installI, make([]int, a.elems)
-				installs = append(installs, func() { f(buf) })
+				f, buf := a.installI, auxSlice[int](a.elems, &bd.auxBytes)
+				bd.installs = append(bd.installs, func() { f(buf) })
 			default:
-				f, buf := a.installF, make([]float64, a.elems)
-				installs = append(installs, func() { f(buf) })
+				f, buf := a.installF, auxSlice[float64](a.elems, &bd.auxBytes)
+				bd.installs = append(bd.installs, func() { f(buf) })
 			}
 		}
 	}
-	return &mbsBundle{installs: installs}
+	if sp != nil && soff != len(sp.stash) {
+		panic(fmt.Sprintf("nn: mbs exec: span stash holds %d floats, layout used %d", len(sp.stash), soff))
+	}
+	return bd
+}
+
+// auxSlice allocates n elements of aux state and adds their bytes to *held.
+func auxSlice[T any](n int, held *int64) []T {
+	var zero T
+	*held += int64(n) * int64(unsafe.Sizeof(zero))
+	return make([]T, n)
 }
 
 func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
@@ -161,10 +225,17 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		return nil, fmt.Errorf("nn: mbs exec: model must end in a [N, classes] head, got %v", head)
 	}
 	rem := n % sub
-	var unitsRem []unitSpec
+	unitsFor := func(size int) []unitSpec { return unitsSub }
 	if rem != 0 {
-		if unitsRem, err = m.mbsUnits(rem, p.Sample); err != nil {
+		unitsRem, err := m.mbsUnits(rem, p.Sample)
+		if err != nil {
 			return nil, err
+		}
+		unitsFor = func(size int) []unitSpec {
+			if size == sub {
+				return unitsSub
+			}
+			return unitsRem
 		}
 	}
 
@@ -181,6 +252,15 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		}
 		e.spans = append(e.spans, mbsSpan{from, to, to - from})
 	}
+	// rowViews cuts a full-batch slab into per-span [size, sample...] views.
+	rowViews := func(data []float64, sample []int) []*tensor.Tensor {
+		es := prodShape(sample)
+		views := make([]*tensor.Tensor, len(e.spans))
+		for si, sp := range e.spans {
+			views[si] = tensor.FromSlice(data[sp.from*es:sp.to*es], append([]int{sp.size}, sample...)...)
+		}
+		return views
+	}
 
 	var arenaFloats int
 	for _, g := range p.Groups {
@@ -196,29 +276,17 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 	e.boundary = make([]*tensor.Tensor, G-1)
 	e.boundViews = make([][]*tensor.Tensor, G-1)
 	var maxBoundElems int
-	for gi := range p.Groups {
-		g := p.Groups[gi]
+	for gi, g := range p.Groups {
 		eg := &e.groups[gi]
 		eg.first, eg.last = g.First, g.Last
 		outSample := unitsSub[g.Last].outShape[1:]
 		eg.outElems = prodShape(outSample)
-		eg.sub = buildBundle(unitsSub, g.First, g.Last, e.arena)
-		if rem != 0 {
-			eg.rem = buildBundle(unitsRem, g.First, g.Last, e.arena)
-		}
 		if gi < G-1 {
-			bt := tensor.New(append([]int{n}, outSample...)...)
-			e.boundary[gi] = bt
+			e.boundary[gi] = tensor.New(append([]int{n}, outSample...)...)
+			e.boundViews[gi] = rowViews(e.boundary[gi].Data, outSample)
 			if bn := n * eg.outElems; bn > maxBoundElems {
 				maxBoundElems = bn
 			}
-			views := make([]*tensor.Tensor, len(e.spans))
-			for si, sp := range e.spans {
-				views[si] = tensor.FromSlice(
-					bt.Data[sp.from*eg.outElems:sp.to*eg.outElems],
-					append([]int{sp.size}, outSample...)...)
-			}
-			e.boundViews[gi] = views
 		}
 	}
 	if G > 1 {
@@ -226,21 +294,50 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		e.dBound[1] = make([]float64, maxBoundElems)
 		e.dyViews = make([][]*tensor.Tensor, G-1)
 		for b := 0; b < G-1; b++ {
-			es := e.groups[b].outElems
-			sample := unitsSub[e.groups[b].last].outShape[1:]
-			views := make([]*tensor.Tensor, len(e.spans))
-			for si, sp := range e.spans {
-				views[si] = tensor.FromSlice(
-					e.dBound[b%2][sp.from*es:sp.to*es],
-					append([]int{sp.size}, sample...)...)
-			}
-			e.dyViews[b] = views
+			e.dyViews[b] = rowViews(e.dBound[b%2], unitsSub[e.groups[b].last].outShape[1:])
 		}
 	}
 	e.xViews = make([]*tensor.Tensor, len(e.spans))
 	for si, sp := range e.spans {
 		e.xViews[si] = &tensor.Tensor{Shape: append([]int{sp.size}, p.Sample...)}
 	}
+
+	e.stash = make([][]float64, G-1)
+	for gi := range e.groups {
+		eg := &e.groups[gi]
+		eg.bundles = make([]*mbsBundle, len(e.spans))
+		if gi == G-1 {
+			full := buildBundle(unitsSub, eg.first, eg.last, e.arena, nil)
+			for si, sp := range e.spans {
+				eg.bundles[si] = full
+				if sp.size != sub { // the one ragged span, last
+					eg.bundles[si] = buildBundle(unitsFor(sp.size), eg.first, eg.last, e.arena, nil)
+				}
+			}
+			continue
+		}
+		floats := make([]int, len(e.spans))
+		var total int
+		for si, sp := range e.spans {
+			floats[si], _ = spanStash(unitsFor(sp.size), eg.first, eg.last)
+			total += floats[si]
+		}
+		e.stash[gi] = make([]float64, total)
+		off := 0
+		for si, sp := range e.spans {
+			place := &spanPlace{
+				stash: e.stash[gi][off : off+floats[si]],
+				in:    e.inputView(gi, si),
+				out:   e.boundViews[gi][si],
+			}
+			if gi > 0 {
+				place.dIn = e.dyViews[gi-1][si]
+			}
+			eg.bundles[si] = buildBundle(unitsFor(sp.size), eg.first, eg.last, e.arena, place)
+			off += floats[si]
+		}
+	}
+
 	classes := head[1]
 	e.lossGradSub = tensor.New(sub, classes)
 	if rem != 0 {
@@ -248,10 +345,7 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 	}
 
 	e.fnForward = func(si int, sp mbsSpan) {
-		g := e.curGroup
-		out := e.forwardGroup(g, e.inputView(g, si))
-		es := e.groups[g].outElems
-		copy(e.boundary[g].Data[sp.from*es:sp.to*es], out.Data)
+		e.forwardGroup(e.curGroup, e.inputView(e.curGroup, si))
 	}
 	e.fnLast = func(si int, sp mbsSpan) {
 		g := e.curGroup
@@ -267,12 +361,7 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		}
 	}
 	e.fnBackward = func(si int, sp mbsSpan) {
-		g := e.curGroup
-		e.forwardGroup(g, e.inputView(g, si)) // recompute intra-group state
-		dx := e.backwardGroup(g, e.dyViews[g][si])
-		if g > 0 {
-			copy(e.dGradRows(g-1, sp), dx.Data)
-		}
+		e.backwardGroup(e.curGroup, e.dyViews[e.curGroup][si])
 	}
 	return e, nil
 }
@@ -341,17 +430,12 @@ func (e *mbsExec) backwardGroup(g int, dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
-// phaseSpans runs fn over every sub-batch span of group g, re-installing the
-// arena views per span.
+// phaseSpans runs fn over every sub-batch span of group g, installing the
+// span's bundle first.
 func (e *mbsExec) phaseSpans(g int, fn func(int, mbsSpan)) {
 	e.curGroup = g
-	eg := &e.groups[g]
 	for si, sp := range e.spans {
-		if sp.size == e.plan.SubBatch {
-			eg.sub.install()
-		} else {
-			eg.rem.install()
-		}
+		e.groups[g].bundles[si].install()
 		fn(si, sp)
 	}
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,8 +13,7 @@ import (
 
 // minGroupBudget finds the smallest power-of-two-scaled budget at which
 // every unit of the model fits on its own — the plan with the most groups
-// the model admits. PlanMBS may still refuse that plan for another reason
-// (BatchNorm outside the last group); the caller sees it when it plans.
+// the model admits.
 func minGroupBudget(t *testing.T, m *Model, shape []int, sub int) int64 {
 	t.Helper()
 	budget := int64(32 << 10)
@@ -92,42 +90,120 @@ func expectOracleMatch(t *testing.T, m *Model, x *tensor.Tensor, labels []int, s
 	expectBitIdentical(t, m, ref, ctx)
 }
 
+// batchNorms lists a network's BatchNorm2D layers, residual branches
+// included, in walk order.
+func batchNorms(s *Sequential) []*BatchNorm2D {
+	var out []*BatchNorm2D
+	for _, l := range s.Layers {
+		switch v := l.(type) {
+		case *BatchNorm2D:
+			out = append(out, v)
+		case *Residual:
+			out = append(out, batchNorms(v.Main)...)
+			if v.Shortcut != nil {
+				out = append(out, batchNorms(v.Shortcut)...)
+			}
+		}
+	}
+	return out
+}
+
+// expectOracleStep runs the oracle on its own model and one
+// AccumulateGradsMBS on m, both holding the same weights, and requires the
+// loss, every gradient and every BatchNorm running statistic to match bit
+// for bit: BatchNorm's sub-batch statistics make MBS differ from the full
+// batch, but every plan must still update them once per sub-batch, in
+// order, as the oracle does.
+func expectOracleStep(t *testing.T, m, oracle *Model, x *tensor.Tensor, labels []int, sub int, ctx string) {
+	t.Helper()
+	lossRef := mbsOracle(oracle, x, labels, sub)
+	expectOracleMatch(t, m, x, labels, sub, lossRef, grabGrads(oracle), ctx)
+	want := batchNorms(oracle.Net)
+	for i, bn := range batchNorms(m.Net) {
+		for c := range bn.RunningMean {
+			if bn.RunningMean[c] != want[i].RunningMean[c] || bn.RunningVar[c] != want[i].RunningVar[c] {
+				t.Fatalf("%s: %s running statistics differ from the oracle's at channel %d", ctx, bn.Gamma.Name, c)
+			}
+		}
+	}
+}
+
+// withBatch pairs a model with a seeded random input batch of the given
+// shape (batch dim first) and labels over 8 classes.
+func withBatch(m *Model, seed int64, shape ...int) (*Model, *tensor.Tensor, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	x := tensor.New(shape...)
+	x.Randn(rng, 1)
+	labels := make([]int, shape[0])
+	for i := range labels {
+		labels[i] = rng.Intn(8)
+	}
+	return m, x, labels
+}
+
+type oracleModel struct {
+	name  string
+	build func(batch int) (*Model, *tensor.Tensor, []int)
+}
+
+// oracleModels are the models the bit-identity test runs: the GroupNorm
+// CNN; BatchNorm CNN and ResNet models whose multi-group plans put
+// BatchNorms — top-level and inside residual branches — in groups before
+// the last; and an MLP whose minimal-budget plan at 8/3 puts fc2, which
+// reads its input in Backward, inside the first of three groups.
+var oracleModels = []oracleModel{
+	{"gn-cnn", func(n int) (*Model, *tensor.Tensor, []int) { return buildTestModelBatch(31, n) }},
+	{"bn-cnn", func(n int) (*Model, *tensor.Tensor, []int) {
+		return withBatch(BuildSmallCNN(rand.New(rand.NewSource(32)), 3, 16, 8, NormBatch, 0), 33, n, 3, 16, 16)
+	}},
+	{"bn-resnet", func(n int) (*Model, *tensor.Tensor, []int) {
+		return withBatch(BuildSmallResNet(rand.New(rand.NewSource(35)), 3, 16, 8, NormBatch, 0), 36, n, 3, 16, 16)
+	}},
+	{"mlp", func(n int) (*Model, *tensor.Tensor, []int) {
+		return withBatch(BuildMLP(rand.New(rand.NewSource(37)), 48, []int{64, 64, 64, 64}, 8), 38, n, 48)
+	}},
+}
+
+// gnResNet is the residual equivalence test's model and batch.
+func gnResNet(n int) (*Model, *tensor.Tensor, []int) {
+	return withBatch(BuildSmallResNet(rand.New(rand.NewSource(33)), 3, 16, 8, NormGroup, 8), 34, n, 3, 16, 16)
+}
+
 // TestGroupedMBSBitIdenticalToLayerByLayer is the executor's core contract:
 // the single-group path a call without a plan takes, and every group count
 // the budget can force — including ragged sub-batches — reproduce the
-// oracle's loss and gradients to the last bit on a GroupNorm model, across
-// thread counts.
+// oracle's loss, gradients and BatchNorm running statistics to the last bit,
+// across thread counts.
 func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
 	defer tensor.SetThreads(tensor.SetThreads(1))
-	for _, threads := range []int{1, 3} {
-		for _, shape := range []struct{ batch, sub int }{{8, 3}, {32, 5}} {
-			tensor.SetThreads(threads)
-			ctx := fmt.Sprintf("threads=%d batch=%d sub=%d", threads, shape.batch, shape.sub)
-			oracle, x, labels := buildTestModelBatch(31, shape.batch)
-			lossRef := mbsOracle(oracle, x, labels, shape.sub)
-			ref := grabGrads(oracle)
-
-			m, _, _ := buildTestModelBatch(31, shape.batch)
-			for step := 0; step < 2; step++ { // second step exercises warm arenas
-				expectOracleMatch(t, m, x, labels, shape.sub, lossRef, ref, ctx+" no plan")
-			}
-			minBudget := minGroupBudget(t, m, x.Shape, shape.sub)
-			seen := map[int]bool{}
-			for _, budget := range []int64{minBudget, 4 * minBudget, 1 << 30} {
-				plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: shape.sub, BudgetBytes: budget})
-				if err != nil {
-					t.Fatalf("%s budget %d: %v", ctx, budget, err)
+	for _, om := range oracleModels {
+		for _, threads := range []int{1, 3} {
+			for _, shape := range []struct{ batch, sub int }{{8, 3}, {32, 5}} {
+				tensor.SetThreads(threads)
+				ctx := fmt.Sprintf("%s threads=%d batch=%d sub=%d", om.name, threads, shape.batch, shape.sub)
+				oracle, x, labels := om.build(shape.batch)
+				m, _, _ := om.build(shape.batch)
+				for step := 0; step < 2; step++ { // second step exercises warm arenas
+					expectOracleStep(t, m, oracle, x, labels, shape.sub, ctx+" no plan")
 				}
-				seen[len(plan.Groups)] = true
-				if err := m.SetMBSPlan(plan); err != nil {
-					t.Fatalf("%s budget %d: SetMBSPlan: %v", ctx, budget, err)
+				minBudget := minGroupBudget(t, m, x.Shape, shape.sub)
+				seen := map[int]bool{}
+				for _, budget := range []int64{minBudget, 4 * minBudget, 1 << 30} {
+					plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: shape.sub, BudgetBytes: budget})
+					if err != nil {
+						t.Fatalf("%s budget %d: %v", ctx, budget, err)
+					}
+					seen[len(plan.Groups)] = true
+					if err := m.SetMBSPlan(plan); err != nil {
+						t.Fatalf("%s budget %d: SetMBSPlan: %v", ctx, budget, err)
+					}
+					for step := 0; step < 2; step++ {
+						expectOracleStep(t, m, oracle, x, labels, shape.sub, ctx+" "+plan.Summary())
+					}
 				}
-				for step := 0; step < 2; step++ {
-					expectOracleMatch(t, m, x, labels, shape.sub, lossRef, ref, ctx+" "+plan.Summary())
+				if len(seen) < 2 || !seen[1] {
+					t.Fatalf("%s: budget sweep produced group counts %v, want 1 and at least one more", ctx, seen)
 				}
-			}
-			if len(seen) < 2 || !seen[1] {
-				t.Fatalf("%s: budget sweep produced group counts %v, want 1 and at least one more", ctx, seen)
 			}
 		}
 	}
@@ -137,14 +213,8 @@ func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
 // tests to residual models: under GroupNorm every plan and the no-plan path
 // match the oracle bit-for-bit and the full-batch gradients to 1e-9.
 func TestGroupedMBSResidualEquivalence(t *testing.T) {
-	build := func() *Model { return BuildSmallResNet(rand.New(rand.NewSource(33)), 3, 16, 8, NormGroup, 8) }
-	rng := rand.New(rand.NewSource(34))
-	x := tensor.New(8, 3, 16, 16)
-	x.Randn(rng, 1)
-	labels := make([]int, 8)
-	for i := range labels {
-		labels[i] = rng.Intn(8)
-	}
+	build := func() *Model { m, _, _ := gnResNet(8); return m }
+	_, x, labels := gnResNet(8)
 	const sub = 3
 
 	full := build()
@@ -178,7 +248,8 @@ func TestGroupedMBSResidualEquivalence(t *testing.T) {
 
 // TestGroupedMBSBatchNormStillDiverges is the negative control on the
 // grouped executor: BN statistics span the mini-batch, so the grouped
-// sub-batch flow must NOT reproduce full-batch gradients.
+// sub-batch flow — one group or the most the model admits — must NOT
+// reproduce full-batch gradients.
 func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	m := BuildSmallResNet(rng, 3, 16, 8, NormBatch, 0)
@@ -191,44 +262,78 @@ func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
 	m.AccumulateGradsFull(x, labels)
 	refFull := grabGrads(m)
 
-	plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMBSPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	m.AccumulateGradsMBS(x, labels, 3)
-	var maxDiff float64
-	for _, p := range m.Params() {
-		if d := p.Grad.MaxAbsDiff(refFull[p.Name]); d > maxDiff {
-			maxDiff = d
+	for _, budget := range []int64{minGroupBudget(t, m, x.Shape, 3), 1 << 30} {
+		plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: budget})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if maxDiff < 1e-6 {
-		t.Errorf("grouped BN sub-batching unexpectedly matched full batch (max diff %g)", maxDiff)
+		if err := m.SetMBSPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		m.AccumulateGradsMBS(x, labels, 3)
+		var maxDiff float64
+		for _, p := range m.Params() {
+			if d := p.Grad.MaxAbsDiff(refFull[p.Name]); d > maxDiff {
+				maxDiff = d
+			}
+		}
+		if maxDiff < 1e-6 {
+			t.Errorf("groups=%d: grouped BN sub-batching unexpectedly matched full batch (max diff %g)",
+				len(plan.Groups), maxDiff)
+		}
 	}
 }
 
-// TestMBSPlanRefusesBatchNormRecompute: a BatchNorm in a re-forwarded group
-// would update its statistics twice per step, so PlanMBS refuses the plan
-// with ErrBatchNormRecompute — for a top-level BN and for one inside a
-// residual branch — while the single-group plan still builds.
-func TestMBSPlanRefusesBatchNormRecompute(t *testing.T) {
-	x := tensor.New(8, 3, 16, 16)
-	resnet := func() *Model { return BuildSmallResNet(rand.New(rand.NewSource(35)), 3, 16, 8, NormBatch, 0) }
-	branchOnly := resnet()
-	// Drop the stem's BatchNorm: the remaining ones sit in residual branches.
-	branchOnly.Net.Layers = append(branchOnly.Net.Layers[:1:1], branchOnly.Net.Layers[2:]...)
-	for name, m := range map[string]*Model{"top-level": resnet(), "branch": branchOnly} {
-		budget := minGroupBudget(t, m, x.Shape, 3)
-		_, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: budget})
-		if !errors.Is(err, ErrBatchNormRecompute) {
-			t.Errorf("%s: minimal budget %d: err %v, want ErrBatchNormRecompute", name, budget, err)
+// TestMBSPlanBoundaryBytesCountsAllocation: BoundaryBytes equals what the
+// executor allocates at full batch — boundaries, stash slabs, per-span aux
+// state and the boundary-gradient pair — counted from the executor's own
+// slices, for every plan the bit-identity and residual tests build. The
+// benchmark's configuration keeps its plan: five groups and a 1245184-byte
+// peak arena.
+func TestMBSPlanBoundaryBytesCountsAllocation(t *testing.T) {
+	allocated := func(e *mbsExec) int64 {
+		var b int64
+		for _, bt := range e.boundary {
+			b += int64(len(bt.Data)) * 8
 		}
-		if _, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: 1 << 30}); err != nil {
-			t.Errorf("%s: single-group plan refused: %v", name, err)
+		for g, slab := range e.stash {
+			b += int64(len(slab)) * 8
+			for _, bd := range e.groups[g].bundles {
+				b += bd.auxBytes
+			}
 		}
+		return b + int64(len(e.dBound[0])+len(e.dBound[1]))*8
+	}
+	check := func(m *Model, shape []int, sub int, budget int64, ctx string) *MBSPlan {
+		t.Helper()
+		plan, err := m.PlanMBS(shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget})
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		e, err := newMBSExec(m, plan)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if got := allocated(e); got != plan.BoundaryBytes {
+			t.Errorf("%s: %d groups: executor allocates %d full-batch bytes, plan reports %d",
+				ctx, len(plan.Groups), got, plan.BoundaryBytes)
+		}
+		return plan
+	}
+	for _, om := range append(oracleModels, oracleModel{"gn-resnet", gnResNet}) {
+		for _, shape := range []struct{ batch, sub int }{{8, 3}, {32, 5}} {
+			m, x, _ := om.build(shape.batch)
+			minBudget := minGroupBudget(t, m, x.Shape, shape.sub)
+			for _, budget := range []int64{minBudget, 4 * minBudget, 1 << 30} {
+				check(m, x.Shape, shape.sub, budget, fmt.Sprintf("%s batch=%d sub=%d budget=%d", om.name, shape.batch, shape.sub, budget))
+			}
+		}
+	}
+
+	m := BuildSmallCNN(rand.New(rand.NewSource(1)), 3, 16, 8, NormGroup, 8)
+	plan := check(m, []int{32, 3, 16, 16}, 8, 2<<20, "benchmark plan")
+	if len(plan.Groups) != 5 || plan.PeakArenaBytes != 1245184 {
+		t.Errorf("benchmark plan: %d groups, peak arena %d; want 5 and 1245184", len(plan.Groups), plan.PeakArenaBytes)
 	}
 }
 

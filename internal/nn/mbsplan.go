@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,11 +27,15 @@ import (
 // ReLU masks, pool argmax maps) is described by a spec with an install
 // closure, and the executor points the layer's persistent-buffer fields at
 // planned offsets of one shared slab. Liveness is the classification baked
-// into the specs: `retained` buffers are live for a whole group phase
-// (activations the backward re-reads), while each unit's input gradient is
-// transient — dead as soon as the previous unit's backward consumes it — so
-// all of them collapse into two ping-pong slots at the arena tail,
-// alternating by unit parity.
+// into the specs: `retained` buffers hold private offsets while a group
+// runs, and each unit's input gradient is transient — dead as soon as the
+// previous unit's backward consumes it — so all of them collapse into two
+// ping-pong slots at the arena tail, alternating by unit parity. Among the
+// retained buffers, `stash` marks what a layer's Backward reads back from
+// its forward (im2col packing, xhat, a Linear's input); with the aux state
+// it is all a group before the last keeps per sub-batch between its
+// forward and backward phases. The rest is forward scratch (outputs only
+// the next Forward reads) or backward-only gradient state.
 
 // MBSPlanConfig configures PlanMBS.
 type MBSPlanConfig struct {
@@ -85,10 +88,11 @@ type MBSPlan struct {
 	// the per-unit dx buffers of the unplanned path collapse into two
 	// ping-pong slots.
 	PeakArenaBytes int64
-	// BoundaryBytes is the full-batch group-boundary stash (activations
-	// plus the two ping-pong boundary-gradient buffers) — the traffic the
-	// paper deliberately sends to DRAM once per step. Zero for a one-group
-	// plan.
+	// BoundaryBytes is every full-batch byte the executor allocates outside
+	// the arena — the traffic the paper deliberately sends to DRAM once per
+	// step: the group-boundary activations, each earlier group's stash slab
+	// and per-sub-batch aux state (what its backward reads), and the two
+	// ping-pong boundary-gradient buffers. Zero for a one-group plan.
 	BoundaryBytes int64
 	// FullFootprintBytes is what the layers hold in private per-layer
 	// buffers without a planned arena, plus a copy of the sub-batch input,
@@ -107,8 +111,22 @@ type arenaBuf struct {
 	elems    int
 	shape    []int // nil => raw slice buffer
 	retained bool  // false => unit-parity ping-pong slot
+	// stash: the layer's Backward reads it (implies retained). In a group
+	// before the last it lives per sub-batch in the group's stash slab.
+	stash    bool
 	installT func(*tensor.Tensor)
 	installS func([]float64)
+}
+
+// inputRef re-points a layer's cached forward input (Conv2D.x,
+// MaxPool2.inShape, ...) at the tensor the layer reads in a sub-batch: the
+// unit's input (buf < 0) or bufs[buf], an earlier branch layer's output.
+// stash marks an input whose values the Backward reads (a Linear's), which
+// makes the feeding output a stash buffer.
+type inputRef struct {
+	buf     int
+	stash   bool
+	install func(*tensor.Tensor)
 }
 
 // auxBuf describes non-float per-layer state (masks, argmax maps, norm
@@ -129,9 +147,10 @@ type unitSpec struct {
 	inShape     []int // including batch dim
 	outShape    []int
 	bufs        []arenaBuf
+	out         int // bufs index of the unit's forward output (0 for a leaf layer)
+	inputs      []inputRef
 	aux         []auxBuf
 	weightBytes int64
-	batchNorm   bool // the unit is or contains a BatchNorm2D
 }
 
 func prodShape(s []int) int {
@@ -217,11 +236,12 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 		u.bufs = append(u.bufs,
 			arenaBuf{elems: prodShape(u.outShape), shape: u.outShape, retained: true,
 				installT: func(t *tensor.Tensor) { c.out.train = t }},
-			arenaBuf{elems: n * v.Spec.InC * v.Spec.KH * v.Spec.KW * oh * ow, retained: true,
+			arenaBuf{elems: n * v.Spec.InC * v.Spec.KH * v.Spec.KW * oh * ow, retained: true, stash: true,
 				installS: func(s []float64) { c.col = s }},
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
 				installT: func(t *tensor.Tensor) { c.dx = t }},
 		)
+		u.inputs = []inputRef{{buf: -1, install: func(t *tensor.Tensor) { c.x = t }}}
 		u.weightBytes = paramBytes(v.Params())
 
 	case *Linear:
@@ -239,6 +259,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
 				installT: func(t *tensor.Tensor) { lin.dx = t }},
 		)
+		u.inputs = []inputRef{{buf: -1, stash: true, install: func(t *tensor.Tensor) { lin.x = t }}}
 		u.weightBytes = paramBytes(v.Params())
 
 	case *ReLU:
@@ -269,6 +290,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 		)
 		u.aux = append(u.aux, auxBuf{elems: prodShape(u.outShape), elemBytes: 8,
 			installI: func(a []int) { p.arg = a }})
+		u.inputs = []inputRef{{buf: -1, install: func(t *tensor.Tensor) { p.inShape = append(p.inShape[:0], t.Shape...) }}}
 
 	case *GlobalAvgPool:
 		if err := need(4); err != nil {
@@ -282,18 +304,18 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
 				installT: func(t *tensor.Tensor) { p.dx = t }},
 		)
+		u.inputs = []inputRef{{buf: -1, install: func(t *tensor.Tensor) { p.inShape = append(p.inShape[:0], t.Shape...) }}}
 
 	case *BatchNorm2D:
 		if err := need(4); err != nil {
 			return u, err
 		}
 		u.outShape = u.inShape
-		u.batchNorm = true
 		b := v
 		u.bufs = append(u.bufs,
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true,
 				installT: func(t *tensor.Tensor) { b.out.train = t }},
-			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true,
+			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true, stash: true,
 				installT: func(t *tensor.Tensor) { b.xhat = t }},
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
 				installT: func(t *tensor.Tensor) { b.dx = t }},
@@ -302,6 +324,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 			auxBuf{elems: v.C, elemBytes: 8, installF: func(f []float64) { b.mean = f }},
 			auxBuf{elems: v.C, elemBytes: 8, installF: func(f []float64) { b.invStd = f }},
 		)
+		u.inputs = []inputRef{{buf: -1, install: func(t *tensor.Tensor) { b.x = t }}}
 		u.weightBytes = paramBytes(v.Params())
 
 	case *GroupNorm:
@@ -313,13 +336,14 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 		u.bufs = append(u.bufs,
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true,
 				installT: func(t *tensor.Tensor) { gn.out.train = t }},
-			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true,
+			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: true, stash: true,
 				installT: func(t *tensor.Tensor) { gn.xhat = t }},
 			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
 				installT: func(t *tensor.Tensor) { gn.dx = t }},
 		)
 		u.aux = append(u.aux, auxBuf{elems: n * v.Groups, elemBytes: 8,
 			installF: func(f []float64) { gn.invStd = f }})
+		u.inputs = []inputRef{{buf: -1, install: func(t *tensor.Tensor) { gn.x = t }}}
 		u.weightBytes = paramBytes(v.Params())
 
 	case *Residual:
@@ -327,18 +351,30 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 			return u, err
 		}
 		r := v
+		// A branch layer reads the unit's input (buf -1) or the previous
+		// branch layer's output.
 		walkBranch := func(layers []Layer, from []int) ([]int, error) {
-			cur := from
+			cur, prevOut := from, -1
 			for _, bl := range layers {
 				su, err := walkUnit(bl, cur, true)
 				if err != nil {
 					return nil, err
 				}
+				base := len(u.bufs)
 				u.bufs = append(u.bufs, su.bufs...)
+				for _, ref := range su.inputs {
+					switch {
+					case ref.buf >= 0:
+						ref.buf += base
+					case prevOut >= 0:
+						u.bufs[prevOut].stash = u.bufs[prevOut].stash || ref.stash
+						ref.buf = prevOut
+					}
+					u.inputs = append(u.inputs, ref)
+				}
 				u.aux = append(u.aux, su.aux...)
 				u.weightBytes += su.weightBytes
-				u.batchNorm = u.batchNorm || su.batchNorm
-				cur = su.outShape
+				cur, prevOut = su.outShape, base+su.out
 			}
 			return cur, nil
 		}
@@ -360,6 +396,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 		// post-ReLU's own buffers, and the summed input gradient. Everything
 		// except the unit's final dx stays retained — the merged gradient g
 		// must outlive both branch backwards.
+		u.out = len(u.bufs) + 1
 		u.bufs = append(u.bufs,
 			arenaBuf{elems: prodShape(u.outShape), shape: u.outShape, retained: true,
 				installT: func(t *tensor.Tensor) { r.sum.train = t }},
@@ -386,10 +423,15 @@ func (m *Model) mbsUnits(n int, sample []int) ([]unitSpec, error) {
 	}
 	in := append([]int{n}, sample...)
 	units := make([]unitSpec, 0, len(m.Net.Layers))
-	for _, l := range m.Net.Layers {
+	for i, l := range m.Net.Layers {
 		u, err := walkUnit(l, in, false)
 		if err != nil {
 			return nil, err
+		}
+		for _, r := range u.inputs {
+			if r.buf < 0 && r.stash && i > 0 {
+				units[i-1].bufs[units[i-1].out].stash = true
+			}
 		}
 		units = append(units, u)
 		in = u.outShape
@@ -424,26 +466,37 @@ func measureGroup(units []unitSpec, first, last int) MBSGroup {
 	return MBSGroup{
 		First: first, Last: last, Label: label,
 		ArenaBytes: arena, AuxBytes: aux, WeightBytes: wb,
-		// input is read twice per sub-batch (forward phase + backward
-		// recompute), and the boundary gradient streams in while the input
-		// gradient streams out — both input-shaped.
+		// the sub-batch slices streamed across the group boundary: the
+		// input and the input gradient (both input-shaped), and the output
+		// or, in the backward phase, the output gradient.
 		WorkingSetBytes: arena + aux + wb + 2*inB + outB,
 		InSample:        append([]int(nil), units[first].inShape[1:]...),
 		OutSample:       append([]int(nil), units[last].outShape[1:]...),
 	}
 }
 
-// ErrBatchNormRecompute is returned (wrapped) by PlanMBS when a BatchNorm2D
-// would land in a group other than the last. Those groups are re-forwarded
-// during the backward phase, so their batch statistics — and the running
-// statistics — would update twice per step.
-var ErrBatchNormRecompute = errors.New("nn: mbs plan: BatchNorm in a re-forwarded group")
+// spanStash is what one sub-batch of units [first, last] keeps from its
+// forward for its backward in a group before the last: the floats of its
+// stash buffers other than the group's output, which is written in place
+// into the boundary, and the bytes of its aux state.
+func spanStash(units []unitSpec, first, last int) (floats int, auxBytes int64) {
+	for i := first; i <= last; i++ {
+		for j, b := range units[i].bufs {
+			if b.stash && !(i == last && j == units[i].out) {
+				floats += b.elems
+			}
+		}
+		for _, a := range units[i].aux {
+			auxBytes += int64(a.elems) * int64(a.elemBytes)
+		}
+	}
+	return floats, auxBytes
+}
 
 // PlanMBS builds a grouped MBS execution plan for inputs of shape inShape
 // (batch dim included). Greedy contiguous fill: each group takes as many
 // consecutive units as fit the budget. A single unit over the budget is a
-// hard error — a degenerate silently-thrashing schedule helps nobody — and
-// so is a BatchNorm outside the last group (ErrBatchNormRecompute).
+// hard error — a degenerate silently-thrashing schedule helps nobody.
 func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 	if len(inShape) < 2 {
 		return nil, fmt.Errorf("nn: mbs plan: input shape %v needs a batch dim", inShape)
@@ -482,14 +535,6 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 		groups = append(groups, g)
 		i = j + 1
 	}
-	for gi, g := range groups[:len(groups)-1] {
-		for u := g.First; u <= g.Last; u++ {
-			if units[u].batchNorm {
-				return nil, fmt.Errorf("%w: %s in group %d of %d", ErrBatchNormRecompute, units[u].label, gi, len(groups))
-			}
-		}
-	}
-
 	p := &MBSPlan{
 		Batch: batch, SubBatch: sub,
 		Sample:      append([]int(nil), inShape[1:]...),
@@ -501,12 +546,24 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 			p.PeakArenaBytes = a
 		}
 	}
+	var unitsRem []unitSpec
+	if rem := batch % sub; rem != 0 && len(groups) > 1 {
+		if unitsRem, err = m.mbsUnits(rem, inShape[1:]); err != nil {
+			return nil, err
+		}
+	}
 	var maxBound int64
 	for _, g := range groups[:len(groups)-1] {
 		b := int64(prodShape(g.OutSample)) * int64(batch) * 8
 		p.BoundaryBytes += b
 		if b > maxBound {
 			maxBound = b
+		}
+		floats, aux := spanStash(units, g.First, g.Last)
+		p.BoundaryBytes += int64(batch/sub) * (int64(floats)*8 + aux)
+		if unitsRem != nil {
+			floats, aux = spanStash(unitsRem, g.First, g.Last)
+			p.BoundaryBytes += int64(floats)*8 + aux
 		}
 	}
 	if len(groups) > 1 {

@@ -22,8 +22,9 @@ type BatchNorm2D struct {
 	mean, invStd []float64
 	out          outBufs // persistent forward-output buffers
 	dx           *tensor.Tensor
-	// LastPreActMean records the mean of the normalized output (the
-	// "pre-activation mean" curve of Fig. 6's right panels).
+	// LastPreActMean is the mean of the last training forward's normalized
+	// output, under batch statistics (the "pre-activation mean" curve of
+	// Fig. 6's right panels). Evaluation forwards leave it alone.
 	LastPreActMean float64
 }
 
@@ -162,7 +163,9 @@ type GroupNorm struct {
 	invStd      []float64 // per (sample, group)
 	out         outBufs   // persistent forward-output buffers
 	dx          *tensor.Tensor
-	// LastPreActMean mirrors BatchNorm2D's Fig. 6 instrumentation.
+	// LastPreActMean is the mean of the last evaluation forward's
+	// normalized output (Fig. 6 reads it after Model.Evaluate). Training
+	// forwards leave it alone.
 	LastPreActMean float64
 }
 
@@ -237,7 +240,9 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	gn.LastPreActMean = out.Mean()
+	if !train {
+		gn.LastPreActMean = out.Mean()
+	}
 	return out
 }
 

@@ -14,15 +14,7 @@ func buildTestModel(seed int64) (*Model, *tensor.Tensor, []int) {
 
 // buildTestModelBatch is buildTestModel with a batch of n samples.
 func buildTestModelBatch(seed int64, n int) (*Model, *tensor.Tensor, []int) {
-	m := BuildSmallCNN(rand.New(rand.NewSource(seed)), 3, 16, 8, NormGroup, 8)
-	rng := rand.New(rand.NewSource(seed + 1))
-	x := tensor.New(n, 3, 16, 16)
-	x.Randn(rng, 1)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = rng.Intn(8)
-	}
-	return m, x, labels
+	return withBatch(BuildSmallCNN(rand.New(rand.NewSource(seed)), 3, 16, 8, NormGroup, 8), seed+1, n, 3, 16, 16)
 }
 
 // TestGEMMTrainStepDeterministicAcrossThreads: one full MBS training step
