@@ -1,13 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench-json golden serve load-smoke crash-smoke race-jobs clean
-
-# The trajectory snapshot written by bench-json; bump the index per PR so
-# history accumulates (BENCH_2.json was the first, from the kernel-engine PR;
-# BENCH_5.json added the inference fast path and the fused-epilogue kernels;
-# BENCH_6.json added the replica-pool scaling curve; BENCH_8.json added the
-# grouped MBS-executor grid; BENCH_9.json added the event-bus publish cost).
-BENCH_JSON ?= BENCH_9.json
+.PHONY: all build test race vet lint bench-smoke golden serve load-smoke crash-smoke race-jobs clean
 
 # Pinned staticcheck version for lint (also installed by CI). The lint
 # target degrades gracefully when the binary isn't on PATH so offline
@@ -55,17 +48,6 @@ lint: vet
 # headline numbers (no -benchtime tuning, no stability claims).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Headline kernel/training benchmarks as a JSON snapshot for the perf
-# trajectory: future PRs re-run this and diff against the committed file.
-# The replica-scaling curve runs separately with a longer -benchtime (its
-# per-op work is small, so 3x would be all noise); benchjson parses the
-# concatenated output of both runs.
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkTrainStep|BenchmarkInfer(Single|Batched|CNN)' \
-		-benchmem -benchtime 3x . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkInferReplicas|BenchmarkBusPublish' -benchmem -benchtime 2s . ; } \
-		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 
 # Regenerate the pinned figure/table outputs after an intentional change to
 # the scheduler or simulator models. Inspect the git diff before committing.

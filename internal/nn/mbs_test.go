@@ -176,18 +176,15 @@ func TestTrainingConverges(t *testing.T) {
 }
 
 // TestPreActMeanRecorded: Fig. 6 reads each norm layer's pre-activation
-// mean right after Model.Evaluate. GroupNorm records it on evaluation
-// forwards only, so a training forward leaves it untouched; BatchNorm
-// records it on training forwards, under batch statistics, and an
-// evaluation forward leaves it untouched.
+// mean right after Model.Evaluate, so both norms follow one rule: an
+// evaluation forward records it and a training forward leaves it untouched.
 func TestPreActMeanRecorded(t *testing.T) {
 	for _, norm := range []NormKind{NormGroup, NormBatch} {
 		rng := rand.New(rand.NewSource(10))
 		m := BuildSmallCNN(rng, 3, 16, 4, norm, 4)
 		x := tensor.New(4, 3, 16, 16)
 		x.Randn(rng, 1)
-		train := norm == NormBatch // the forward mode that records
-		m.Net.Forward(x, train)
+		m.Net.Forward(x, false)
 		var recorded []float64
 		for _, l := range m.NormLayers() {
 			mean := PreActMean(l)
@@ -201,10 +198,10 @@ func TestPreActMeanRecorded(t *testing.T) {
 			recorded = append(recorded, mean)
 		}
 		x.Randn(rng, 1)
-		m.Net.Forward(x, !train)
+		m.Net.Forward(x, true)
 		for i, l := range m.NormLayers() {
 			if got := PreActMean(l); got != recorded[i] {
-				t.Errorf("%v: forward with train=%v changed the recorded mean %g to %g", norm, !train, recorded[i], got)
+				t.Errorf("%v: a training forward changed the recorded mean %g to %g", norm, recorded[i], got)
 			}
 		}
 	}

@@ -108,21 +108,6 @@ type mbsExec struct {
 	fnForward, fnLast, fnBackward func(si int, sp mbsSpan)
 }
 
-// groupFloats sums a group's retained arena floats and its largest transient
-// (ping-pong) buffer.
-func groupFloats(units []unitSpec, first, last int) (retained, maxTransient int) {
-	for i := first; i <= last; i++ {
-		for _, b := range units[i].bufs {
-			if b.retained {
-				retained += b.elems
-			} else if b.elems > maxTransient {
-				maxTransient = b.elems
-			}
-		}
-	}
-	return retained, maxTransient
-}
-
 // buildBundle lays the group's buffers out and returns the install list.
 // Retained buffers sit at ascending walk-order arena offsets, transients in
 // the two ping-pong slots at the tail by unit parity. With a spanPlace
@@ -206,37 +191,17 @@ func auxSlice[T any](n int, held *int64) []T {
 	return make([]T, n)
 }
 
-func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
+// newMBSExec lays out and allocates the executor of plan p from the planner's
+// walks of m at the sub-batch size (unitsSub) and at the ragged last span's
+// size (unitsRem, nil when the sub-batch divides the batch), and sets
+// p.BoundaryBytes to the full-batch bytes it allocates outside the arena.
+func newMBSExec(m *Model, p *MBSPlan, unitsSub, unitsRem []unitSpec) *mbsExec {
 	n, sub := p.Batch, p.SubBatch
-	unitsSub, err := m.mbsUnits(sub, p.Sample)
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Groups) == 0 || p.Groups[0].First != 0 || p.Groups[len(p.Groups)-1].Last != len(unitsSub)-1 {
-		return nil, fmt.Errorf("nn: mbs exec: plan does not cover the model's %d units", len(unitsSub))
-	}
-	for i := 1; i < len(p.Groups); i++ {
-		if p.Groups[i].First != p.Groups[i-1].Last+1 {
-			return nil, fmt.Errorf("nn: mbs exec: plan groups are not contiguous")
+	unitsFor := func(size int) []unitSpec {
+		if size == sub {
+			return unitsSub
 		}
-	}
-	head := unitsSub[len(unitsSub)-1].outShape
-	if len(head) != 2 {
-		return nil, fmt.Errorf("nn: mbs exec: model must end in a [N, classes] head, got %v", head)
-	}
-	rem := n % sub
-	unitsFor := func(size int) []unitSpec { return unitsSub }
-	if rem != 0 {
-		unitsRem, err := m.mbsUnits(rem, p.Sample)
-		if err != nil {
-			return nil, err
-		}
-		unitsFor = func(size int) []unitSpec {
-			if size == sub {
-				return unitsSub
-			}
-			return unitsRem
-		}
+		return unitsRem
 	}
 
 	e := &mbsExec{
@@ -262,14 +227,11 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		return views
 	}
 
-	var arenaFloats int
+	var arenaBytes int64
 	for _, g := range p.Groups {
-		ret, maxT := groupFloats(unitsSub, g.First, g.Last)
-		if f := ret + 2*maxT; f > arenaFloats {
-			arenaFloats = f
-		}
+		arenaBytes = max(arenaBytes, g.ArenaBytes)
 	}
-	e.arena = make([]float64, arenaFloats)
+	e.arena = make([]float64, arenaBytes/8)
 
 	G := len(p.Groups)
 	e.groups = make([]execGroup, G)
@@ -283,6 +245,7 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		eg.outElems = prodShape(outSample)
 		if gi < G-1 {
 			e.boundary[gi] = tensor.New(append([]int{n}, outSample...)...)
+			p.BoundaryBytes += int64(len(e.boundary[gi].Data)) * 8
 			e.boundViews[gi] = rowViews(e.boundary[gi].Data, outSample)
 			if bn := n * eg.outElems; bn > maxBoundElems {
 				maxBoundElems = bn
@@ -292,6 +255,7 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 	if G > 1 {
 		e.dBound[0] = make([]float64, maxBoundElems)
 		e.dBound[1] = make([]float64, maxBoundElems)
+		p.BoundaryBytes += int64(len(e.dBound[0])+len(e.dBound[1])) * 8
 		e.dyViews = make([][]*tensor.Tensor, G-1)
 		for b := 0; b < G-1; b++ {
 			e.dyViews[b] = rowViews(e.dBound[b%2], unitsSub[e.groups[b].last].outShape[1:])
@@ -319,10 +283,11 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		floats := make([]int, len(e.spans))
 		var total int
 		for si, sp := range e.spans {
-			floats[si], _ = spanStash(unitsFor(sp.size), eg.first, eg.last)
+			floats[si] = spanStash(unitsFor(sp.size), eg.first, eg.last)
 			total += floats[si]
 		}
 		e.stash[gi] = make([]float64, total)
+		p.BoundaryBytes += int64(total) * 8
 		off := 0
 		for si, sp := range e.spans {
 			place := &spanPlace{
@@ -334,13 +299,14 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 				place.dIn = e.dyViews[gi-1][si]
 			}
 			eg.bundles[si] = buildBundle(unitsFor(sp.size), eg.first, eg.last, e.arena, place)
+			p.BoundaryBytes += eg.bundles[si].auxBytes
 			off += floats[si]
 		}
 	}
 
-	classes := head[1]
+	classes := unitsSub[len(unitsSub)-1].outShape[1]
 	e.lossGradSub = tensor.New(sub, classes)
-	if rem != 0 {
+	if rem := n % sub; rem != 0 {
 		e.lossGradRem = tensor.New(rem, classes)
 	}
 
@@ -363,7 +329,7 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 	e.fnBackward = func(si int, sp mbsSpan) {
 		e.backwardGroup(e.curGroup, e.dyViews[e.curGroup][si])
 	}
-	return e, nil
+	return e
 }
 
 // covers reports whether the executor was built for this input shape and
@@ -383,12 +349,10 @@ func (m *Model) execFor(x *tensor.Tensor, subBatch int) *mbsExec {
 	}
 	if !m.single.covers(x, subBatch) {
 		p, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: subBatch, BudgetBytes: math.MaxInt64})
-		if err == nil {
-			m.single, err = newMBSExec(m, p)
-		}
 		if err != nil {
 			panic(err)
 		}
+		m.single = p.exec
 	}
 	return m.single
 }
@@ -461,20 +425,20 @@ func (e *mbsExec) accumulate(x *tensor.Tensor, labels []int) float64 {
 	return e.curLoss
 }
 
-// SetMBSPlan installs a grouped execution plan (from PlanMBS) on the model:
-// subsequent TrainStepMBS/AccumulateGradsMBS calls whose input shape and
-// sub-batch match the plan run on its groups; other calls run as a single
-// group. Passing nil removes the plan.
+// SetMBSPlan installs a grouped execution plan, made by this model's
+// PlanMBS, on the model: subsequent TrainStepMBS/AccumulateGradsMBS calls
+// whose input shape and sub-batch match the plan run on its groups; other
+// calls run as a single group. A plan another model made is refused, since
+// its executor points at that model's layers. Passing nil removes the plan.
 func (m *Model) SetMBSPlan(p *MBSPlan) error {
 	if p == nil {
 		m.mbs = nil
 		return nil
 	}
-	e, err := newMBSExec(m, p)
-	if err != nil {
-		return err
+	if p.exec == nil || p.exec.model != m {
+		return fmt.Errorf("nn: mbs plan: not made by this model's PlanMBS")
 	}
-	m.mbs = e
+	m.mbs = p.exec
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -288,8 +289,8 @@ func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
 // executor allocates at full batch — boundaries, stash slabs, per-span aux
 // state and the boundary-gradient pair — counted from the executor's own
 // slices, for every plan the bit-identity and residual tests build. The
-// benchmark's configuration keeps its plan: five groups and a 1245184-byte
-// peak arena.
+// benchmark's configuration keeps its plan: five groups, a 1245184-byte
+// peak arena and 11077632 boundary bytes.
 func TestMBSPlanBoundaryBytesCountsAllocation(t *testing.T) {
 	allocated := func(e *mbsExec) int64 {
 		var b int64
@@ -310,11 +311,7 @@ func TestMBSPlanBoundaryBytesCountsAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		e, err := newMBSExec(m, plan)
-		if err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if got := allocated(e); got != plan.BoundaryBytes {
+		if got := allocated(plan.exec); got != plan.BoundaryBytes {
 			t.Errorf("%s: %d groups: executor allocates %d full-batch bytes, plan reports %d",
 				ctx, len(plan.Groups), got, plan.BoundaryBytes)
 		}
@@ -332,8 +329,9 @@ func TestMBSPlanBoundaryBytesCountsAllocation(t *testing.T) {
 
 	m := BuildSmallCNN(rand.New(rand.NewSource(1)), 3, 16, 8, NormGroup, 8)
 	plan := check(m, []int{32, 3, 16, 16}, 8, 2<<20, "benchmark plan")
-	if len(plan.Groups) != 5 || plan.PeakArenaBytes != 1245184 {
-		t.Errorf("benchmark plan: %d groups, peak arena %d; want 5 and 1245184", len(plan.Groups), plan.PeakArenaBytes)
+	if len(plan.Groups) != 5 || plan.PeakArenaBytes != 1245184 || plan.BoundaryBytes != 11077632 {
+		t.Errorf("benchmark plan: %d groups, peak arena %d, boundary %d; want 5, 1245184 and 11077632",
+			len(plan.Groups), plan.PeakArenaBytes, plan.BoundaryBytes)
 	}
 }
 
@@ -535,6 +533,11 @@ func TestGroupedMBSZeroAlloc(t *testing.T) {
 			opt := &SGD{LR: 0.01, Momentum: 0.9}
 			m.TrainStepMBS(x, labels, tc.sub, opt) // warm arenas + pooled scratch
 			m.TrainStepMBS(x, labels, tc.sub, opt)
+			// A GC cycle that ends inside the measured runs makes each scratch
+			// sync.Pool allocate its per-P array again on its next Put,
+			// whatever the step does. Collect the set-up's garbage first, so
+			// no cycle is due while nothing allocates.
+			runtime.GC()
 			if allocs := testing.AllocsPerRun(5, func() { m.TrainStepMBS(x, labels, tc.sub, opt) }); allocs != 0 {
 				t.Errorf("MBS train step (%s, groups=%d) allocates %v/op after warm-up, want 0",
 					tc.name, groups, allocs)
@@ -604,6 +607,46 @@ func TestMBSPlanShapes(t *testing.T) {
 	}
 	if !auto.BudgetAuto || auto.BudgetBytes <= 0 {
 		t.Errorf("auto budget not recorded: %+v", auto)
+	}
+}
+
+// TestMBSPlanRefusesUnplannableModels: the planner refuses, naming what it
+// cannot plan, a model with no [N, classes] head (the executor's loss needs
+// one) and a layer type it cannot walk, such as a wrapper around a Conv2D.
+func TestMBSPlanRefusesUnplannableModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var calls int
+	for _, tc := range []struct {
+		name    string
+		layers  []Layer
+		wantErr string
+	}{
+		{"no head", []Layer{NewConv2D("c", rng, 3, 4, 3, 1, 1), &ReLU{}}, "[N, classes] head, got [3 4 8 8]"},
+		{"wrapped conv", []Layer{countingLayer{NewConv2D("c", rng, 3, 4, 3, 1, 1), &calls}}, "unsupported layer type nn.countingLayer"},
+	} {
+		m := &Model{Net: &Sequential{Layers: tc.layers}}
+		_, err := m.PlanMBS([]int{6, 3, 8, 8}, MBSPlanConfig{SubBatch: 3, BudgetBytes: 1 << 30})
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: PlanMBS error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestMBSPlanRefusesForeignPlan: a plan's executor points at the layers of
+// the model whose PlanMBS made it, so SetMBSPlan refuses the plan on a twin
+// and installs it on its own model.
+func TestMBSPlanRefusesForeignPlan(t *testing.T) {
+	m, x, _ := buildTestModel(42)
+	twin, _, _ := buildTestModel(42)
+	plan, err := twin.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: 3, BudgetBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetMBSPlan(plan); err == nil || m.MBSPlan() != nil {
+		t.Errorf("SetMBSPlan installed a twin's plan (err %v)", err)
+	}
+	if err := twin.SetMBSPlan(plan); err != nil || twin.MBSPlan() != plan {
+		t.Errorf("SetMBSPlan refused the plan on its own model: %v", err)
 	}
 }
 

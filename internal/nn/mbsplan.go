@@ -65,12 +65,11 @@ type MBSGroup struct {
 	// budget. (Optimizer momentum is excluded: SGD touches it once per
 	// step, outside every group loop.)
 	WorkingSetBytes int64
-	// InSample/OutSample are the per-sample (batch-stripped) boundary shapes.
-	InSample, OutSample []int
 }
 
 // MBSPlan is a complete grouped-execution schedule for one (model, input
-// shape, sub-batch, budget) combination. Install it with Model.SetMBSPlan.
+// shape, sub-batch, budget) combination, with the executor laid out from it.
+// Install it with Model.SetMBSPlan on the model that made it.
 type MBSPlan struct {
 	Batch    int
 	SubBatch int
@@ -88,17 +87,20 @@ type MBSPlan struct {
 	// the per-unit dx buffers of the unplanned path collapse into two
 	// ping-pong slots.
 	PeakArenaBytes int64
-	// BoundaryBytes is every full-batch byte the executor allocates outside
-	// the arena — the traffic the paper deliberately sends to DRAM once per
-	// step: the group-boundary activations, each earlier group's stash slab
-	// and per-sub-batch aux state (what its backward reads), and the two
-	// ping-pong boundary-gradient buffers. Zero for a one-group plan.
+	// BoundaryBytes is the executor's own count of every full-batch byte it
+	// allocated outside the arena — the traffic the paper deliberately sends
+	// to DRAM once per step: the group-boundary activations, each earlier
+	// group's stash slab and per-sub-batch aux state (what its backward
+	// reads), and the two ping-pong boundary-gradient buffers. Zero for a
+	// one-group plan.
 	BoundaryBytes int64
 	// FullFootprintBytes is what the layers hold in private per-layer
 	// buffers without a planned arena, plus a copy of the sub-batch input,
 	// at the same sub-batch size — the baseline PeakArenaBytes is measured
 	// against.
 	FullFootprintBytes int64
+
+	exec *mbsExec // laid out by PlanMBS for its model; SetMBSPlan installs it
 }
 
 // --- per-unit footprint walk -------------------------------------------------
@@ -439,10 +441,9 @@ func (m *Model) mbsUnits(n int, sample []int) ([]unitSpec, error) {
 	return units, nil
 }
 
-// measureGroup sums the working set of units [first, last].
-func measureGroup(units []unitSpec, first, last int) MBSGroup {
-	var retained, maxTransient int
-	var aux, wb int64
+// groupFloats sums a group's retained arena floats and its largest transient
+// (ping-pong) buffer.
+func groupFloats(units []unitSpec, first, last int) (retained, maxTransient int) {
 	for i := first; i <= last; i++ {
 		for _, b := range units[i].bufs {
 			if b.retained {
@@ -451,6 +452,15 @@ func measureGroup(units []unitSpec, first, last int) MBSGroup {
 				maxTransient = b.elems
 			}
 		}
+	}
+	return retained, maxTransient
+}
+
+// measureGroup sums the working set of units [first, last].
+func measureGroup(units []unitSpec, first, last int) MBSGroup {
+	retained, maxTransient := groupFloats(units, first, last)
+	var aux, wb int64
+	for i := first; i <= last; i++ {
 		for _, a := range units[i].aux {
 			aux += int64(a.elems) * int64(a.elemBytes)
 		}
@@ -470,33 +480,30 @@ func measureGroup(units []unitSpec, first, last int) MBSGroup {
 		// input and the input gradient (both input-shaped), and the output
 		// or, in the backward phase, the output gradient.
 		WorkingSetBytes: arena + aux + wb + 2*inB + outB,
-		InSample:        append([]int(nil), units[first].inShape[1:]...),
-		OutSample:       append([]int(nil), units[last].outShape[1:]...),
 	}
 }
 
-// spanStash is what one sub-batch of units [first, last] keeps from its
-// forward for its backward in a group before the last: the floats of its
-// stash buffers other than the group's output, which is written in place
-// into the boundary, and the bytes of its aux state.
-func spanStash(units []unitSpec, first, last int) (floats int, auxBytes int64) {
+// spanStash is the floats one sub-batch of units [first, last] keeps in the
+// group's stash slab from its forward for its backward in a group before
+// the last: its stash buffers other than the group's output, which is
+// written in place into the boundary. (Its aux state is allocated per span.)
+func spanStash(units []unitSpec, first, last int) (floats int) {
 	for i := first; i <= last; i++ {
 		for j, b := range units[i].bufs {
 			if b.stash && !(i == last && j == units[i].out) {
 				floats += b.elems
 			}
 		}
-		for _, a := range units[i].aux {
-			auxBytes += int64(a.elems) * int64(a.elemBytes)
-		}
 	}
-	return floats, auxBytes
+	return floats
 }
 
 // PlanMBS builds a grouped MBS execution plan for inputs of shape inShape
-// (batch dim included). Greedy contiguous fill: each group takes as many
-// consecutive units as fit the budget. A single unit over the budget is a
-// hard error — a degenerate silently-thrashing schedule helps nobody.
+// (batch dim included) and lays out its executor for this model. Greedy
+// contiguous fill: each group takes as many consecutive units as fit the
+// budget. A single unit over the budget is a hard error — a degenerate
+// silently-thrashing schedule helps nobody — and so is a model that does not
+// end in a [N, classes] head.
 func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 	if len(inShape) < 2 {
 		return nil, fmt.Errorf("nn: mbs plan: input shape %v needs a batch dim", inShape)
@@ -514,6 +521,9 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 	units, err := m.mbsUnits(sub, inShape[1:])
 	if err != nil {
 		return nil, err
+	}
+	if head := units[len(units)-1].outShape; len(head) != 2 {
+		return nil, fmt.Errorf("nn: mbs plan: model must end in a [N, classes] head, got %v", head)
 	}
 
 	var groups []MBSGroup
@@ -546,29 +556,6 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 			p.PeakArenaBytes = a
 		}
 	}
-	var unitsRem []unitSpec
-	if rem := batch % sub; rem != 0 && len(groups) > 1 {
-		if unitsRem, err = m.mbsUnits(rem, inShape[1:]); err != nil {
-			return nil, err
-		}
-	}
-	var maxBound int64
-	for _, g := range groups[:len(groups)-1] {
-		b := int64(prodShape(g.OutSample)) * int64(batch) * 8
-		p.BoundaryBytes += b
-		if b > maxBound {
-			maxBound = b
-		}
-		floats, aux := spanStash(units, g.First, g.Last)
-		p.BoundaryBytes += int64(batch/sub) * (int64(floats)*8 + aux)
-		if unitsRem != nil {
-			floats, aux = spanStash(unitsRem, g.First, g.Last)
-			p.BoundaryBytes += int64(floats)*8 + aux
-		}
-	}
-	if len(groups) > 1 {
-		p.BoundaryBytes += 2 * maxBound // boundary-gradient ping-pong pair
-	}
 	for _, u := range units {
 		for _, b := range u.bufs {
 			p.FullFootprintBytes += int64(b.elems) * 8
@@ -578,6 +565,15 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 		}
 	}
 	p.FullFootprintBytes += int64(prodShape(units[0].inShape)) * 8 // sub-batch input copy
+
+	// The ragged last span, if any, gets its own walk at its size.
+	var unitsRem []unitSpec
+	if rem := batch % sub; rem != 0 {
+		if unitsRem, err = m.mbsUnits(rem, inShape[1:]); err != nil {
+			return nil, err
+		}
+	}
+	p.exec = newMBSExec(m, p, units, unitsRem)
 	return p, nil
 }
 
@@ -593,8 +589,8 @@ func (p *MBSPlan) Summary() string {
 		humanBytes(p.BoundaryBytes), humanBytes(p.FullFootprintBytes))
 }
 
-// MetricsLine is the machine-readable form the bench harness prints and
-// benchjson lifts into the BENCH_n.json snapshot.
+// MetricsLine is the machine-readable form of the plan: the line `bench/`
+// records as a run's `mbs_plan`.
 func (p *MBSPlan) MetricsLine() string {
 	return fmt.Sprintf("mbs-plan: groups=%d sub=%d arena_bytes=%d budget_bytes=%d boundary_bytes=%d full_bytes=%d",
 		len(p.Groups), p.SubBatch, p.PeakArenaBytes, p.BudgetBytes, p.BoundaryBytes, p.FullFootprintBytes)

@@ -22,9 +22,10 @@ type BatchNorm2D struct {
 	mean, invStd []float64
 	out          outBufs // persistent forward-output buffers
 	dx           *tensor.Tensor
-	// LastPreActMean is the mean of the last training forward's normalized
-	// output, under batch statistics (the "pre-activation mean" curve of
-	// Fig. 6's right panels). Evaluation forwards leave it alone.
+	// LastPreActMean is the mean of the last evaluation forward's
+	// normalized output, under running statistics (the "pre-activation
+	// mean" curve of Fig. 6's right panels, read after Model.Evaluate as
+	// for GroupNorm). Training forwards leave it alone.
 	LastPreActMean float64
 }
 
@@ -65,6 +66,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
+		b.LastPreActMean = out.Mean()
 		return out
 	}
 
@@ -111,7 +113,6 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	b.LastPreActMean = out.Mean()
 	return out
 }
 
