@@ -158,8 +158,9 @@ func Fig6(ctx context.Context, w io.Writer, cfg Fig6Config) (*Fig6Result, error)
 	return res, nil
 }
 
-// firstLastNormMeans runs a probe batch forward and reads the recorded
-// pre-activation mean of the first (or last) normalization layer.
+// firstLastNormMeans reads the pre-activation mean of the first (or last)
+// normalization layer on the evaluation forward that just ran (see
+// nn.PreActMean); it runs no forward of its own.
 func firstLastNormMeans(m *nn.Model, first bool) float64 {
 	norms := m.NormLayers()
 	if len(norms) == 0 {

@@ -229,51 +229,55 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // --- ReLU ---------------------------------------------------------------
 
-// ReLU is the rectified linear activation. It records the sign mask — the
-// 1-bit-per-element information MBS stashes instead of the activation.
+// ReLU is the rectified linear activation. A training forward records
+// the sign mask its backward gates by, one byte per element (the 1-bit
+// mask of the paper's MBS stash is what core.Config.ReLUMask models).
+// Both passes select through a bit mask instead of branching, so a sign
+// pattern the branch predictor cannot learn costs nothing: v > 0 passes v,
+// and negatives, -0 and NaN give +0.
 type ReLU struct {
 	mask []bool
 	out  outBufs
 	dx   *tensor.Tensor
 }
 
+// setBits is all ones iff b, and zero otherwise.
+func setBits(b bool) uint64 {
+	var m uint64
+	if b {
+		m = ^uint64(0)
+	}
+	return m
+}
+
 // Forward clamps negatives to zero.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := ensureLike(r.out.sel(train), x)
+	y := ensureLike(r.out.sel(train), x)
+	out := y.Data[:len(x.Data)]
 	if !train {
 		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
+			out[i] = math.Float64frombits(math.Float64bits(v) & setBits(v > 0))
 		}
-		return out
+		return y
 	}
 	if len(r.mask) != len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
 	}
+	mask := r.mask[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			out.Data[i] = 0
-			r.mask[i] = false
-		}
+		out[i] = math.Float64frombits(math.Float64bits(v) & setBits(v > 0))
+		mask[i] = v > 0
 	}
-	return out
+	return y
 }
 
-// Backward gates the gradient by the stored sign mask.
+// Backward passes the gradient where the stored mask is set and +0
+// elsewhere.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := ensureLike(&r.dx, dy)
+	out, mask := dx.Data[:len(dy.Data)], r.mask[:len(dy.Data)]
 	for i, g := range dy.Data {
-		if r.mask[i] {
-			dx.Data[i] = g
-		} else {
-			dx.Data[i] = 0
-		}
+		out[i] = math.Float64frombits(math.Float64bits(g) & setBits(mask[i]))
 	}
 	return dx
 }

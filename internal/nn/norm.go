@@ -22,11 +22,6 @@ type BatchNorm2D struct {
 	mean, invStd []float64
 	out          outBufs // persistent forward-output buffers
 	dx           *tensor.Tensor
-	// LastPreActMean is the mean of the last evaluation forward's
-	// normalized output, under running statistics (the "pre-activation
-	// mean" curve of Fig. 6's right panels, read after Model.Evaluate as
-	// for GroupNorm). Training forwards leave it alone.
-	LastPreActMean float64
 }
 
 // NewBatchNorm2D builds a BN layer with gamma=1, beta=0.
@@ -66,7 +61,6 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		b.LastPreActMean = out.Mean()
 		return out
 	}
 
@@ -164,10 +158,6 @@ type GroupNorm struct {
 	invStd      []float64 // per (sample, group)
 	out         outBufs   // persistent forward-output buffers
 	dx          *tensor.Tensor
-	// LastPreActMean is the mean of the last evaluation forward's
-	// normalized output (Fig. 6 reads it after Model.Evaluate). Training
-	// forwards leave it alone.
-	LastPreActMean float64
 }
 
 // NewGroupNorm builds a GN layer; groups must divide c.
@@ -241,35 +231,21 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	if !train {
-		gn.LastPreActMean = out.Mean()
-	}
 	return out
 }
 
-// Backward computes GN gradients per (sample, group), over contiguous
-// channel rows (same accumulation order as the original quadruple loops).
+// Backward computes GN gradients per (sample, group) in one pass over the
+// group's contiguous channel rows of dy and xhat, which feeds both the
+// per-channel Beta/Gamma sums and the group's sums for dx. Every
+// accumulator keeps the term order of separate passes, and Beta.Grad and
+// Gamma.Grad still receive one addend per sample in ascending sample
+// order.
 func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := dy.Shape[0], dy.Shape[1], dy.Shape[2], dy.Shape[3]
 	dx := ensureLike(&gn.dx, dy) // fully overwritten below
 	cpg := c / gn.Groups
 	hw := h * w
 	cnt := float64(cpg * hw)
-	// Parameter gradients reduce over batch and spatial dims per channel.
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			row := (ni*c + ci) * hw
-			dyr := dy.Data[row : row+hw]
-			xhr := gn.xhat.Data[row : row+hw]
-			var sumDy, sumDyXhat float64
-			for j, g := range dyr {
-				sumDy += g
-				sumDyXhat += g * xhr[j]
-			}
-			gn.Beta.Grad.Data[ci] += sumDy
-			gn.Gamma.Grad.Data[ci] += sumDyXhat
-		}
-	}
 	for ni := 0; ni < n; ni++ {
 		for gi := 0; gi < gn.Groups; gi++ {
 			lo := (ni*c + gi*cpg) * hw
@@ -277,20 +253,28 @@ func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			xhg := gn.xhat.Data[lo : lo+cpg*hw]
 			var sumG, sumGXhat float64
 			for ci := 0; ci < cpg; ci++ {
-				gamma := gn.Gamma.Data.Data[gi*cpg+ci]
+				ch := gi*cpg + ci
+				gamma := gn.Gamma.Data.Data[ch]
+				var sumDy, sumDyXhat float64
 				for j := ci * hw; j < (ci+1)*hw; j++ {
-					g := dyg[j] * gamma
+					d, xh := dyg[j], xhg[j]
+					sumDy += d
+					sumDyXhat += d * xh
+					g := d * gamma
 					sumG += g
-					sumGXhat += g * xhg[j]
+					sumGXhat += g * xh
 				}
+				gn.Beta.Grad.Data[ch] += sumDy
+				gn.Gamma.Grad.Data[ch] += sumDyXhat
 			}
 			inv := gn.invStd[ni*gn.Groups+gi]
+			meanG := sumG / cnt
 			dxg := dx.Data[lo : lo+cpg*hw]
 			for ci := 0; ci < cpg; ci++ {
 				gamma := gn.Gamma.Data.Data[gi*cpg+ci]
 				for j := ci * hw; j < (ci+1)*hw; j++ {
 					g := dyg[j] * gamma
-					dxg[j] = inv * (g - sumG/cnt - xhg[j]*sumGXhat/cnt)
+					dxg[j] = inv * (g - meanG - xhg[j]*sumGXhat/cnt)
 				}
 			}
 		}

@@ -208,16 +208,27 @@ func (m *Model) NormLayers() []Layer {
 	return out
 }
 
-// PreActMean extracts the recorded pre-activation mean of a norm layer.
+// PreActMean is the mean of a norm layer's output on its last evaluation
+// forward (the "pre-activation mean" curve of Fig. 6's right panels, read
+// right after Model.Evaluate; BatchNorm normalizes it under running
+// statistics). It is computed on demand from the layer's evaluation output
+// buffer, so evaluation forwards pay nothing for it and training forwards,
+// which write a separate buffer, leave it alone. It is 0 before any
+// evaluation forward and NaN for a layer that is not a norm.
 func PreActMean(l Layer) float64 {
+	var out *tensor.Tensor
 	switch v := l.(type) {
 	case *BatchNorm2D:
-		return v.LastPreActMean
+		out = v.out.eval
 	case *GroupNorm:
-		return v.LastPreActMean
+		out = v.out.eval
 	default:
 		return math.NaN()
 	}
+	if out == nil {
+		return 0
+	}
+	return out.Mean()
 }
 
 // BuildMLP builds a fully connected classifier over flattened [N, in]

@@ -50,6 +50,7 @@ func gemmBlocked(m, k, n int, a []float64, lda int, b []float64, ldb int, c []fl
 // across the i loop while two A rows feed eight independent scalar
 // accumulator chains in ascending k order. Tiling regroups whole dots,
 // never terms, so the portable path is bit-identical to the untiled loop.
+// Both paths leave the n mod 4 remainder columns to gemmNTCols.
 func gemmNTAcc(m, k, n int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if simdOn.Load() && k > 0 {
 		j := 0
@@ -58,17 +59,7 @@ func gemmNTAcc(m, k, n int, a []float64, lda int, b []float64, ldb int, c []floa
 				fmaNT4(&a[i*lda], &b[j*ldb], ldb, k, &c[i*ldc+j])
 			}
 		}
-		for ; j < n; j++ {
-			bj := b[j*ldb : j*ldb+k]
-			for i := 0; i < m; i++ {
-				ai := a[i*lda : i*lda+k]
-				var s float64
-				for p, av := range ai {
-					s += av * bj[p]
-				}
-				c[i*ldc+j] += s
-			}
-		}
+		gemmNTCols(m, k, j, n, a, lda, b, ldb, c, ldc)
 		return
 	}
 	j := 0
@@ -122,9 +113,35 @@ func gemmNTAcc(m, k, n int, a []float64, lda int, b []float64, ldb int, c []floa
 			ci[3] += s3
 		}
 	}
-	for ; j < n; j++ {
+	gemmNTCols(m, k, j, n, a, lda, b, ldb, c, ldc)
+}
+
+// gemmNTCols is gemmNTAcc's remainder: columns [j0, n) of C, one scalar
+// chain per element, ascending in k from +0 and added to C last. Four
+// rows' chains run at once so their latencies overlap; that regroups
+// whole dots, never terms, so every element keeps its one-chain bits.
+func gemmNTCols(m, k, j0, n int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for j := j0; j < n; j++ {
 		bj := b[j*ldb : j*ldb+k]
-		for i := 0; i < m; i++ {
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			a0 := a[(i+0)*lda : (i+0)*lda+k]
+			a1 := a[(i+1)*lda : (i+1)*lda+k]
+			a2 := a[(i+2)*lda : (i+2)*lda+k]
+			a3 := a[(i+3)*lda : (i+3)*lda+k]
+			var s0, s1, s2, s3 float64
+			for p, bv := range bj {
+				s0 += a0[p] * bv
+				s1 += a1[p] * bv
+				s2 += a2[p] * bv
+				s3 += a3[p] * bv
+			}
+			c[(i+0)*ldc+j] += s0
+			c[(i+1)*ldc+j] += s1
+			c[(i+2)*ldc+j] += s2
+			c[(i+3)*ldc+j] += s3
+		}
+		for ; i < m; i++ {
 			ai := a[i*lda : i*lda+k]
 			var s float64
 			for p, av := range ai {

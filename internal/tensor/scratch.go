@@ -6,7 +6,7 @@ import (
 )
 
 // The scratch arena hands out float64 slabs for kernel temporaries (im2col
-// matrices, per-sample weight-gradient partials). Slabs are bucketed by
+// matrices and the conv backward's col2im staging). Slabs are bucketed by
 // power-of-two capacity and recycled through sync.Pools, so a steady-state
 // training loop — which requests the same handful of sizes every step —
 // performs no large allocations after warm-up. The *slab container itself is
