@@ -63,8 +63,6 @@ func main() {
 	inferReplicas := flag.Int("infer-replicas", 1, "predictor replicas draining the inference queue")
 	inferShed := flag.Bool("infer-shed", true,
 		"shed inference requests with 429 + Retry-After when the queue is full (false = block senders)")
-	gemmBlock := flag.String("gemm-block", "",
-		"GEMM blocking KCxNC or KCxNC:MRxNR (empty = startup autotune; KC changes are bit-visible)")
 	eventRing := flag.Int("event-ring", 0,
 		"retained events for /v2/events replay and Last-Event-ID resume (0 = 256, negative = no retention)")
 	eventHeartbeat := flag.Duration("event-heartbeat", 0,
@@ -93,18 +91,7 @@ func main() {
 	if _, ok := infer.Lookup(*inferModel); !ok {
 		log.Fatalf("mbsd: unknown -infer-model %q (have %v)", *inferModel, infer.Models())
 	}
-	if *gemmBlock != "" {
-		cfg, err := tensor.ParseKernelConfig(*gemmBlock)
-		if err != nil {
-			log.Fatalf("mbsd: %v", err)
-		}
-		if _, err := tensor.SetKernelConfig(cfg); err != nil {
-			log.Fatalf("mbsd: %v", err)
-		}
-		log.Printf("mbsd: gemm config=%s (from -gemm-block)", cfg)
-	} else {
-		log.Printf("mbsd: gemm autotune %s", tensor.Autotune())
-	}
+	log.Printf("mbsd: gemm config=%s simd=%t", tensor.CurrentKernelConfig(), tensor.SIMDEnabled())
 	svc := service.New(service.Config{
 		Workers:       *parallel,
 		CacheMaxBytes: *cacheMB << 20,

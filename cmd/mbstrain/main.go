@@ -48,8 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	checkOnly := flag.Bool("check", false, "only run the gradient-equivalence check")
 	threads := flag.Int("threads", 0, "kernel goroutines (0 = GOMAXPROCS)")
-	gemmBlock := flag.String("gemm-block", "",
-		"GEMM blocking KCxNC or KCxNC:MRxNR (empty = startup autotune; KC changes are bit-visible)")
 	fp16 := flag.Bool("fp16", false,
 		"train with half-precision linear weights (fp32 masters/gradients)")
 	mbsBudget := flag.String("mbs-cache-budget", "",
@@ -63,20 +61,7 @@ func main() {
 	}
 
 	tensor.SetThreads(*threads)
-	if *gemmBlock != "" {
-		cfg, err := tensor.ParseKernelConfig(*gemmBlock)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if _, err := tensor.SetKernelConfig(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("gemm: config=%s (from -gemm-block)\n", cfg)
-	} else {
-		fmt.Printf("gemm: autotune %s\n", tensor.Autotune())
-	}
+	fmt.Printf("gemm: config=%s simd=%t\n", tensor.CurrentKernelConfig(), tensor.SIMDEnabled())
 	fmt.Printf("threads=%d\n", tensor.Threads())
 
 	// Ctrl-C cancels the training run at the next epoch boundary instead of

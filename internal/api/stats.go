@@ -28,8 +28,7 @@ type Stats struct {
 // training layers run under (see internal/tensor).
 type EngineStats struct {
 	Threads    int    `json:"threads"`     // resolved kernel parallelism
-	GemmConfig string `json:"gemm_config"` // KCxNC:MRxNR blocking + micro-tile
-	Autotuned  bool   `json:"autotuned"`   // config chosen by tensor.Autotune
+	GemmConfig string `json:"gemm_config"` // KCxNC panel blocking
 	SIMD       bool   `json:"simd"`        // AVX2+FMA kernels active
 }
 

@@ -366,11 +366,6 @@ func (b *Block) footprintEq2() int64 {
 	return fp
 }
 
-// InterLayerBytesPerSample returns the block's characteristic inter-layer
-// data volume per sample (the grey bars of Fig. 4): the footprint under the
-// branch-reuse rule.
-func (b *Block) InterLayerBytesPerSample() int64 { return b.FootprintPerSample(true) }
-
 // Validate checks shape consistency across the block.
 func (b *Block) Validate() error {
 	if len(b.Branches) == 0 {

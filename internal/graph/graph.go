@@ -200,17 +200,6 @@ func NewAct(name string, in Shape) *Layer {
 	return &Layer{Name: name, Kind: Act, In: in, Out: in}
 }
 
-// NewAdd builds a residual elementwise-sum merge layer.
-func NewAdd(name string, in Shape) *Layer {
-	return &Layer{Name: name, Kind: Add, In: in, Out: in}
-}
-
-// NewConcat builds a channel-concatenation merge layer producing outC
-// channels at the input's spatial extent.
-func NewConcat(name string, in Shape, outC int) *Layer {
-	return &Layer{Name: name, Kind: Concat, In: in, Out: Shape{C: outC, H: in.H, W: in.W}}
-}
-
 // Params returns the number of learnable parameter elements in the layer.
 // Normalization layers carry a per-channel scale and shift.
 func (l *Layer) Params() int64 {

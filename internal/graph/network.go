@@ -95,17 +95,6 @@ func (n *Network) BlockByName(name string) *Block {
 	return nil
 }
 
-// FootprintProfile returns, per block, the per-sample on-chip footprint in
-// bytes under the given branch-reuse policy. Index i corresponds to
-// n.Blocks[i]. This is the data series behind Fig. 4's grey bars.
-func (n *Network) FootprintProfile(branchReuse bool) []int64 {
-	out := make([]int64, len(n.Blocks))
-	for i, b := range n.Blocks {
-		out[i] = b.FootprintPerSample(branchReuse)
-	}
-	return out
-}
-
 // LayerFootprints returns the per-layer inter-layer data size (input plus
 // output bytes) and parameter bytes for every explicit layer, scaled to a
 // mini-batch of batch samples — the two series of Fig. 3.

@@ -157,9 +157,6 @@ func (p *Predictor) MaxBatch() int { return p.maxBatch }
 // Classes returns the per-sample output width.
 func (p *Predictor) Classes() int { return p.classes }
 
-// InputShape returns the per-sample input shape.
-func (p *Predictor) InputShape() []int { return append([]int(nil), p.inShape...) }
-
 // PackedBytes returns the total fp16 packed-weight storage, and the largest
 // absolute quantization error packing introduced.
 func (p *Predictor) PackedBytes() (int64, float64) { return p.packedBytes, p.packErr }

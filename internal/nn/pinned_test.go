@@ -126,11 +126,6 @@ func TestTrainingBitsPinned(t *testing.T) {
 	}
 	defer tensor.SetSIMD(tensor.SetSIMD(true))
 	defer tensor.SetThreads(tensor.SetThreads(1))
-	prev, err := tensor.SetKernelConfig(tensor.DefaultKernelConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tensor.SetKernelConfig(prev)
 
 	data := pinnedData()
 	for _, c := range pinnedCases {

@@ -394,7 +394,6 @@ func (s *Server) Stats() api.Stats {
 		Engine: api.EngineStats{
 			Threads:    tensor.Threads(),
 			GemmConfig: tensor.CurrentKernelConfig().String(),
-			Autotuned:  tensor.Autotuned() != nil,
 			SIMD:       tensor.SIMDEnabled(),
 		},
 		Infer: s.batcher.Stats(),

@@ -145,6 +145,28 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsEngineSection pins /v1/stats' engine section on the wire: the
+// fixed GEMM blocking, and no key for a kernel tuner.
+func TestStatsEngineSection(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := httpGet(t, ts, "/v1/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: HTTP %d", resp.StatusCode)
+	}
+	var st struct {
+		Engine map[string]json.RawMessage `json:"engine"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(st.Engine["gemm_config"]); got != `"256x512"` {
+		t.Errorf("engine.gemm_config = %s, want \"256x512\"", got)
+	}
+	if _, ok := st.Engine["autotuned"]; ok {
+		t.Errorf("engine section still reports autotuned: %s", body)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

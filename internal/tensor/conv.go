@@ -27,15 +27,12 @@ func Conv2D(x, weight, bias *Tensor, s ConvSpec) *Tensor {
 }
 
 // Conv2DInto computes the convolution into a preallocated out tensor
-// (overwriting it). Reusing out across steps is what lets steady-state
-// training run allocation-free.
+// (overwriting it) with the fused-epilogue kernel: the bias rides in the
+// GEMM output loop instead of a prefill pass over the output (see
+// fused.go). Reusing out across steps is what lets steady-state training
+// run allocation-free.
 func Conv2DInto(out, x, weight, bias *Tensor, s ConvSpec) {
-	n := x.Shape[0]
-	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
-	if out.Shape[0] != n || out.Shape[1] != s.OutC || out.Shape[2] != oh || out.Shape[3] != ow {
-		panic(fmt.Sprintf("tensor: conv out shape %v, want [%d %d %d %d]", out.Shape, n, s.OutC, oh, ow))
-	}
-	conv2DGEMM(out, x, weight, bias, s)
+	Conv2DFusedInto(out, x, weight, bias, s, false)
 }
 
 // Conv2DNaive is the direct 7-loop reference convolution — the oracle the

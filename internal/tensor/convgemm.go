@@ -122,13 +122,6 @@ func col2imSample(dcol []float64, dx *Tensor, ni int, s ConvSpec, oh, ow int) {
 	}
 }
 
-// conv2DGEMM writes the convolution of x into out (overwriting it), via the
-// fused-epilogue kernel: the bias rides in the GEMM output loop instead of a
-// prefill pass over the output (see fused.go).
-func conv2DGEMM(out, x, weight, bias *Tensor, s ConvSpec) {
-	Conv2DFusedInto(out, x, weight, bias, s, false)
-}
-
 // conv2DBackwardGEMM overwrites dx with the data gradient and accumulates
 // (+=) the weight and bias gradients into dwAcc and dbAcc. colAll, when
 // non-nil, is the forward pass's retained im2col packing (see

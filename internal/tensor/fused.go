@@ -9,9 +9,10 @@ import "fmt"
 // gemmFused folds the bias and activation into the GEMM's own blocked
 // loop: they run per column block right after its last depth panel — while
 // the block is still cache-hot — so the epilogue costs no extra trip over
-// the activations and no second buffer. The accumulate core is exactly
-// gemmBlocked's overwrite path (first depth panel stores its register
-// accumulators directly; later panels continue the chain from memory).
+// the activations and no second buffer. The first depth panel stores its
+// register accumulators directly (no zero prefill) and later panels
+// continue the chain from memory; with no bias and no activation this is
+// the plain product MatMulInto computes.
 //
 // Numerics: every output element still accumulates its k terms in ascending
 // order, so results are bit-identical for any thread count. Relative to the
@@ -24,7 +25,7 @@ import "fmt"
 // layer layout, where columns are output features. At most one may be
 // non-nil. relu clamps negatives to zero after the bias.
 func gemmFused(m, k, n int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, rowBias, colBias []float64, relu bool) {
-	cfg := kernelCfg.Load()
+	cfg := kernelCfg
 	for jj := 0; jj < n; jj += cfg.NC {
 		jn := min(n-jj, cfg.NC)
 		if k == 0 {
@@ -34,7 +35,7 @@ func gemmFused(m, k, n int, a []float64, lda int, b []float64, ldb int, c []floa
 		}
 		for pp := 0; pp < k; pp += cfg.KC {
 			pk := min(k-pp, cfg.KC)
-			runPanel(cfg.MR, m, pk, jn, a[pp:], lda, b[pp*ldb+jj:], ldb, c[jj:], ldc, pp > 0)
+			runPanel(m, pk, jn, a[pp:], lda, b[pp*ldb+jj:], ldb, c[jj:], ldc, pp > 0)
 		}
 		// Epilogue: bias + activation on the finished column block.
 		for i := 0; i < m; i++ {
@@ -99,7 +100,7 @@ func Conv2DFusedColInto(out, x, weight, bias *Tensor, s ConvSpec, relu bool, col
 	n := x.Shape[0]
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
 	if out.Shape[0] != n || out.Shape[1] != s.OutC || out.Shape[2] != oh || out.Shape[3] != ow {
-		panic(fmt.Sprintf("tensor: fused conv out shape %v, want [%d %d %d %d]", out.Shape, n, s.OutC, oh, ow))
+		panic(fmt.Sprintf("tensor: conv out shape %v, want [%d %d %d %d]", out.Shape, n, s.OutC, oh, ow))
 	}
 	if colAll != nil {
 		if want := n * s.InC * s.KH * s.KW * oh * ow; len(colAll) != want {

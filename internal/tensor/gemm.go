@@ -5,42 +5,9 @@ import "fmt"
 // Blocked GEMM drivers. All variants work on row-major slices with explicit
 // leading dimensions and sum every output element in a fixed ascending order
 // over the shared dimension — so results are bit-identical no matter how
-// callers partition the work across goroutines. The inner loops are the
-// register-tiled micro-kernels in microkernel.go.
-//
-// Default blocking: one (kcBlock x ncBlock) panel of B is 1 MiB
-// (256*512*8 B), sized to stay L2-resident across the whole i loop while
-// rows of A and C stream past it. The live values come from KernelConfig
-// (settable via SetBlocking / the autotuner); these consts are its defaults.
-const (
-	kcBlock = 256 // rows of B (depth) per panel
-	ncBlock = 512 // columns of B per panel
-)
-
-// gemmBlocked computes C[m,n] = A[m,k] * B[k,n] (overwrite=true) or
-// C += A * B (overwrite=false) by panel blocking B and dispatching each
-// panel to the configured register micro-kernel. In overwrite mode the
-// first depth panel stores its register accumulators directly — the same
-// ascending-depth chain the old zero-init + accumulate produced, without
-// the prefill pass — and later panels continue the chain from memory.
-func gemmBlocked(m, k, n int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, overwrite bool) {
-	cfg := kernelCfg.Load()
-	if k == 0 {
-		if overwrite {
-			for i := 0; i < m; i++ {
-				zeroFloats(c[i*ldc : i*ldc+n])
-			}
-		}
-		return
-	}
-	for jj := 0; jj < n; jj += cfg.NC {
-		jn := min(n-jj, cfg.NC)
-		for pp := 0; pp < k; pp += cfg.KC {
-			pk := min(k-pp, cfg.KC)
-			runPanel(cfg.MR, m, pk, jn, a[pp:], lda, b[pp*ldb+jj:], ldb, c[jj:], ldc, !overwrite || pp > 0)
-		}
-	}
-}
+// callers partition the work across goroutines. The forward product is
+// gemmFused (fused.go) over the register-tiled micro-kernels in
+// microkernel.go, blocked by kernelCfg.
 
 // gemmNTAcc computes C[m,n] += A[m,k] * B[n,k]^T.
 // Each output element is a dot of two contiguous rows. On AVX2 hosts four
@@ -205,11 +172,11 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: matmul dst %v for %v x %v", dst.Shape, a.Shape, b.Shape))
 	}
 	if Threads() <= 1 || m == 1 {
-		gemmBlocked(m, k, n, a.Data, k, b.Data, n, dst.Data, n, true)
+		gemmFused(m, k, n, a.Data, k, b.Data, n, dst.Data, n, nil, nil, false)
 		return dst
 	}
 	parallelFor(m, func(lo, hi int) {
-		gemmBlocked(hi-lo, k, n, a.Data[lo*k:], k, b.Data, n, dst.Data[lo*n:], n, true)
+		gemmFused(hi-lo, k, n, a.Data[lo*k:], k, b.Data, n, dst.Data[lo*n:], n, nil, nil, false)
 	})
 	return dst
 }

@@ -1,60 +1,34 @@
 package tensor
 
 // Register-tiled GEMM micro-kernels. Each kernel computes one (pk x jn)
-// depth-panel of B against a range of A rows, holding an MR x NR tile of
-// output accumulators in local variables the compiler keeps in registers.
-// Relative to the previous axpy formulation (C re-read and re-written from
-// cache once per depth step), a register tile touches each C element once
-// per panel, streams each B row once per MR output rows, and exposes MR*NR
-// independent fused-multiply-add chains for the CPU to pipeline.
+// depth-panel of B against a range of A rows. The portable kernel holds a
+// 4x4 tile of output accumulators in local variables the compiler keeps
+// in registers: it touches each C element once per panel, streams each B
+// row once per four output rows, and exposes sixteen independent
+// multiply-add chains for the CPU to pipeline.
 //
 // Numerics contract (load semantics): every output element accumulates its
 // depth terms in ascending p order in a single chain. With load=true the
 // chain continues from the element's current value ((c+t0)+t1+...); with
-// load=false it starts from zero — exactly the chain the previous zero-init
-// + term-by-term accumulation produced. The chain is therefore independent
-// of the micro-tile shape (MR x NR), the column blocking (nc), the thread
-// partition, and the batch grouping of rows: those knobs move work between
-// registers, never terms between additions. Only the depth blocking (kc)
-// regroups additions, which is why the autotuner holds kc fixed.
+// load=false it starts from zero — exactly the chain a zero-init +
+// term-by-term accumulation produces. The chain is therefore independent
+// of the tile shape, the column blocking (nc), the thread partition, and
+// the batch grouping of rows: those move work between registers, never
+// terms between additions. Only the depth blocking (kc) regroups
+// additions.
 //
 // Index conventions: a[i*lda+p] (i < m rows, p < pk depth), b[p*ldb+j]
 // (j < jn columns), c[i*ldc+j]. Callers pass slices pre-offset to the
 // panel origin.
 
-// microShape identifies one implemented micro-kernel tile shape.
-type microShape struct{ mr, nr int }
-
-// microShapes lists the implemented register-tile shapes, in the order the
-// autotuner tries them. 4x4 balances A and B register pressure; 2x8 favors
-// wide contiguous B rows (fewer, longer streams); 8x2 favors tall A panels
-// (column-pair B reuse across eight rows).
-var microShapes = []microShape{{4, 4}, {2, 8}, {8, 2}}
-
-func validShape(mr, nr int) bool {
-	for _, s := range microShapes {
-		if s.mr == mr && s.nr == nr {
-			return true
-		}
-	}
-	return false
-}
-
 // runPanel dispatches one panel to the AVX2+FMA kernels when available,
-// else to the configured portable micro-kernel shape.
-func runPanel(mr int, m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
+// else to the portable 4x4 micro-kernel.
+func runPanel(m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
 	if simdOn.Load() {
-		simdPanel(mr, m, pk, jn, a, lda, b, ldb, c, ldc, load)
+		simdPanel(m, pk, jn, a, lda, b, ldb, c, ldc, load)
 		return
 	}
-	switch mr {
-	case 2:
-		panel2x8(m, pk, jn, a, lda, b, ldb, c, ldc, load)
-	case 8:
-		panel8x2(m, pk, jn, a, lda, b, ldb, c, ldc, load)
-	default:
-		panel4x4(m, pk, jn, a, lda, b, ldb, c, ldc, load)
-	}
+	panel4x4(m, pk, jn, a, lda, b, ldb, c, ldc, load)
 }
 
 // panel4x4 processes the panel in 4x4 register tiles.
@@ -118,129 +92,6 @@ func panel4x4(m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []flo
 		}
 		if j < jn {
 			panelRows(i, i+4, j, jn, pk, a, lda, b, ldb, c, ldc, load)
-		}
-	}
-	if i < m {
-		panelRows(i, m, 0, jn, pk, a, lda, b, ldb, c, ldc, load)
-	}
-}
-
-// panel2x8 processes the panel in 2x8 register tiles.
-func panel2x8(m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
-	i := 0
-	for ; i+2 <= m; i += 2 {
-		a0 := a[(i+0)*lda : (i+0)*lda+pk]
-		a1 := a[(i+1)*lda : (i+1)*lda+pk]
-		j := 0
-		for ; j+8 <= jn; j += 8 {
-			var c00, c01, c02, c03, c04, c05, c06, c07 float64
-			var c10, c11, c12, c13, c14, c15, c16, c17 float64
-			if load {
-				r0 := c[(i+0)*ldc+j : (i+0)*ldc+j+8 : (i+0)*ldc+j+8]
-				r1 := c[(i+1)*ldc+j : (i+1)*ldc+j+8 : (i+1)*ldc+j+8]
-				c00, c01, c02, c03 = r0[0], r0[1], r0[2], r0[3]
-				c04, c05, c06, c07 = r0[4], r0[5], r0[6], r0[7]
-				c10, c11, c12, c13 = r1[0], r1[1], r1[2], r1[3]
-				c14, c15, c16, c17 = r1[4], r1[5], r1[6], r1[7]
-			}
-			bo := j
-			for p := 0; p < pk; p++ {
-				bp := b[bo : bo+8 : bo+8]
-				av := a0[p]
-				c00 += av * bp[0]
-				c01 += av * bp[1]
-				c02 += av * bp[2]
-				c03 += av * bp[3]
-				c04 += av * bp[4]
-				c05 += av * bp[5]
-				c06 += av * bp[6]
-				c07 += av * bp[7]
-				av = a1[p]
-				c10 += av * bp[0]
-				c11 += av * bp[1]
-				c12 += av * bp[2]
-				c13 += av * bp[3]
-				c14 += av * bp[4]
-				c15 += av * bp[5]
-				c16 += av * bp[6]
-				c17 += av * bp[7]
-				bo += ldb
-			}
-			r0 := c[(i+0)*ldc+j : (i+0)*ldc+j+8 : (i+0)*ldc+j+8]
-			r1 := c[(i+1)*ldc+j : (i+1)*ldc+j+8 : (i+1)*ldc+j+8]
-			r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
-			r0[4], r0[5], r0[6], r0[7] = c04, c05, c06, c07
-			r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
-			r1[4], r1[5], r1[6], r1[7] = c14, c15, c16, c17
-		}
-		if j < jn {
-			panelRows(i, i+2, j, jn, pk, a, lda, b, ldb, c, ldc, load)
-		}
-	}
-	if i < m {
-		panelRows(i, m, 0, jn, pk, a, lda, b, ldb, c, ldc, load)
-	}
-}
-
-// panel8x2 processes the panel in 8x2 register tiles.
-func panel8x2(m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
-	i := 0
-	for ; i+8 <= m; i += 8 {
-		j := 0
-		for ; j+2 <= jn; j += 2 {
-			var c00, c01, c10, c11, c20, c21, c30, c31 float64
-			var c40, c41, c50, c51, c60, c61, c70, c71 float64
-			if load {
-				c00, c01 = c[(i+0)*ldc+j], c[(i+0)*ldc+j+1]
-				c10, c11 = c[(i+1)*ldc+j], c[(i+1)*ldc+j+1]
-				c20, c21 = c[(i+2)*ldc+j], c[(i+2)*ldc+j+1]
-				c30, c31 = c[(i+3)*ldc+j], c[(i+3)*ldc+j+1]
-				c40, c41 = c[(i+4)*ldc+j], c[(i+4)*ldc+j+1]
-				c50, c51 = c[(i+5)*ldc+j], c[(i+5)*ldc+j+1]
-				c60, c61 = c[(i+6)*ldc+j], c[(i+6)*ldc+j+1]
-				c70, c71 = c[(i+7)*ldc+j], c[(i+7)*ldc+j+1]
-			}
-			bo := j
-			for p := 0; p < pk; p++ {
-				b0, b1 := b[bo], b[bo+1]
-				ap := p
-				av := a[(i+0)*lda+ap]
-				c00 += av * b0
-				c01 += av * b1
-				av = a[(i+1)*lda+ap]
-				c10 += av * b0
-				c11 += av * b1
-				av = a[(i+2)*lda+ap]
-				c20 += av * b0
-				c21 += av * b1
-				av = a[(i+3)*lda+ap]
-				c30 += av * b0
-				c31 += av * b1
-				av = a[(i+4)*lda+ap]
-				c40 += av * b0
-				c41 += av * b1
-				av = a[(i+5)*lda+ap]
-				c50 += av * b0
-				c51 += av * b1
-				av = a[(i+6)*lda+ap]
-				c60 += av * b0
-				c61 += av * b1
-				av = a[(i+7)*lda+ap]
-				c70 += av * b0
-				c71 += av * b1
-				bo += ldb
-			}
-			c[(i+0)*ldc+j], c[(i+0)*ldc+j+1] = c00, c01
-			c[(i+1)*ldc+j], c[(i+1)*ldc+j+1] = c10, c11
-			c[(i+2)*ldc+j], c[(i+2)*ldc+j+1] = c20, c21
-			c[(i+3)*ldc+j], c[(i+3)*ldc+j+1] = c30, c31
-			c[(i+4)*ldc+j], c[(i+4)*ldc+j+1] = c40, c41
-			c[(i+5)*ldc+j], c[(i+5)*ldc+j+1] = c50, c51
-			c[(i+6)*ldc+j], c[(i+6)*ldc+j+1] = c60, c61
-			c[(i+7)*ldc+j], c[(i+7)*ldc+j+1] = c70, c71
-		}
-		if j < jn {
-			panelRows(i, i+8, j, jn, pk, a, lda, b, ldb, c, ldc, load)
 		}
 	}
 	if i < m {

@@ -56,20 +56,6 @@ func naiveTNAcc(m, k, n int, a, b, c []float64) {
 	}
 }
 
-// naiveMMAcc is the accumulate-mode forward oracle: like naiveTNAcc, the
-// chain starts from the existing c value.
-func naiveMMAcc(m, k, n int, a, b, c []float64) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := c[i*n+j]
-			for p := 0; p < k; p++ {
-				s += a[i*k+p] * b[p*n+j]
-			}
-			c[i*n+j] = s
-		}
-	}
-}
-
 // fuzzSizes is the remainder-shape sweep: every size class the panel and
 // tile loops can leave as a tail — below, at, and just past the 4/8-wide
 // SIMD tiles and the 2/4/8-row blocks — plus odd primes that never divide
@@ -86,15 +72,12 @@ func randFill(rng *rand.Rand, s []float64) {
 }
 
 // stressConfigs are deliberately tiny panel blockings that force every
-// remainder path (mask tails, 1-wide panels, single-depth panels) across
-// all implemented micro-tile shapes.
+// remainder path (mask tails, 1-wide panels, single-depth panels).
 func stressConfigs() []KernelConfig {
 	var out []KernelConfig
 	for _, kc := range []int{1, 3, 8, 256} {
 		for _, nc := range []int{1, 5, 8, 512} {
-			for _, sh := range microShapes {
-				out = append(out, KernelConfig{KC: kc, NC: nc, MR: sh.mr, NR: sh.nr})
-			}
+			out = append(out, KernelConfig{KC: kc, NC: nc})
 		}
 	}
 	return out
@@ -130,17 +113,17 @@ func forEachSIMDMode(t *testing.T, f func(t *testing.T, tol float64)) {
 }
 
 // TestMicroKernelFuzzGEMM sweeps randomized remainder shapes and stress
-// blockings through the blocked forward GEMM (overwrite and accumulate
-// modes) against the naive oracle.
+// blockings through the blocked forward GEMM's plain product (gemmFused
+// with no bias and no activation) against the naive oracle.
 func TestMicroKernelFuzzGEMM(t *testing.T) {
 	cfgs := stressConfigs()
 	forEachSIMDMode(t, func(t *testing.T, tol float64) {
-		defer func(c KernelConfig) { kernelCfg.Store(&c) }(CurrentKernelConfig())
+		defer func(c KernelConfig) { kernelCfg = c }(kernelCfg)
 		rng := rand.New(rand.NewSource(101))
 		for trial := 0; trial < 300; trial++ {
 			m, k, n := randSize(rng), randSize(rng), randSize(rng)
 			cfg := cfgs[rng.Intn(len(cfgs))]
-			kernelCfg.Store(&cfg)
+			kernelCfg = cfg
 			a := make([]float64, m*k)
 			b := make([]float64, k*n)
 			randFill(rng, a)
@@ -148,20 +131,10 @@ func TestMicroKernelFuzzGEMM(t *testing.T) {
 			want := naiveMM(m, k, n, a, b)
 
 			got := make([]float64, m*n)
-			randFill(rng, got) // overwrite mode must not read stale c
-			gemmBlocked(m, k, n, a, k, b, n, got, n, true)
+			randFill(rng, got) // the product must not read stale c
+			gemmFused(m, k, n, a, k, b, n, got, n, nil, nil, false)
 			if d := maxDiff(want, got); d > tol {
-				t.Fatalf("trial %d (%dx%dx%d, cfg %s): overwrite differs by %g", trial, m, k, n, cfg, d)
-			}
-
-			// Accumulate mode continues an existing c.
-			acc := make([]float64, m*n)
-			randFill(rng, acc)
-			want = append(want[:0], acc...)
-			naiveMMAcc(m, k, n, a, b, want)
-			gemmBlocked(m, k, n, a, k, b, n, acc, n, false)
-			if d := maxDiff(want, acc); d > tol {
-				t.Fatalf("trial %d (%dx%dx%d, cfg %s): accumulate differs by %g", trial, m, k, n, cfg, d)
+				t.Fatalf("trial %d (%dx%dx%d, cfg %s): product differs by %g", trial, m, k, n, cfg, d)
 			}
 		}
 	})
@@ -211,13 +184,13 @@ func TestMicroKernelFuzzNTTN(t *testing.T) {
 func TestMicroKernelFuzzFused(t *testing.T) {
 	cfgs := stressConfigs()
 	forEachSIMDMode(t, func(t *testing.T, tol float64) {
-		defer func(c KernelConfig) { kernelCfg.Store(&c) }(CurrentKernelConfig())
+		defer func(c KernelConfig) { kernelCfg = c }(kernelCfg)
 		defer SetThreads(SetThreads(1))
 		rng := rand.New(rand.NewSource(103))
 		for trial := 0; trial < 200; trial++ {
 			m, k, n := randSize(rng), randSize(rng), randSize(rng)
 			cfg := cfgs[rng.Intn(len(cfgs))]
-			kernelCfg.Store(&cfg)
+			kernelCfg = cfg
 			x := New(m, k)
 			w := New(k, n)
 			bias := New(n)
@@ -249,12 +222,12 @@ func TestMicroKernelFuzzFused(t *testing.T) {
 func TestMicroKernelFuzzPackedF16(t *testing.T) {
 	cfgs := stressConfigs()
 	forEachSIMDMode(t, func(t *testing.T, tol float64) {
-		defer func(c KernelConfig) { kernelCfg.Store(&c) }(CurrentKernelConfig())
+		defer func(c KernelConfig) { kernelCfg = c }(kernelCfg)
 		rng := rand.New(rand.NewSource(104))
 		for trial := 0; trial < 200; trial++ {
 			m, k, n := randSize(rng), randSize(rng), randSize(rng)
 			cfg := cfgs[rng.Intn(len(cfgs))]
-			kernelCfg.Store(&cfg)
+			kernelCfg = cfg
 			a := make([]float64, m*k)
 			w := New(k, n)
 			randFill(rng, a)
@@ -274,14 +247,13 @@ func TestMicroKernelFuzzPackedF16(t *testing.T) {
 	})
 }
 
-// TestKernelConfigsBitIdentical is the autotune safety contract: every
-// configuration the tuner may pick (NC and micro-tile shape varied, KC
-// fixed) produces bit-identical results to the default config, for the
-// forward GEMM, the fused epilogue, both backward kernels, and the packed
-// fp16 multiply — under whichever kernel family (SIMD or portable) is
-// active, and for every thread count.
-func TestKernelConfigsBitIdentical(t *testing.T) {
-	defer func(c KernelConfig) { kernelCfg.Store(&c) }(CurrentKernelConfig())
+// TestPanelWidthAndThreadsBitIdentical pins the contract the remainder
+// fuzz relies on: the panel width NC (KC fixed) and the thread count are
+// bit-invisible, for the forward GEMM, the fused epilogue, both backward
+// kernels, and the packed fp16 multiply — under whichever kernel family
+// (SIMD or portable) is active.
+func TestPanelWidthAndThreadsBitIdentical(t *testing.T) {
+	defer func(c KernelConfig) { kernelCfg = c }(kernelCfg)
 	rng := rand.New(rand.NewSource(105))
 	m, k, n := 37, 301, 143 // awkward shapes: tails in every dimension
 	a := New(m, k)
@@ -323,23 +295,20 @@ func TestKernelConfigsBitIdentical(t *testing.T) {
 	defer SetThreads(SetThreads(1))
 	var baseline map[string][]float64
 	for _, nc := range []int{256, 512, 1024} {
-		for _, sh := range microShapes {
-			cfg := KernelConfig{KC: kcBlock, NC: nc, MR: sh.mr, NR: sh.nr}
-			kernelCfg.Store(&cfg)
-			for _, threads := range []int{1, 4} {
-				SetThreads(threads)
-				got := run()
-				if baseline == nil {
-					baseline = got
-					continue
-				}
-				for name, v := range got {
-					base := baseline[name]
-					for i := range v {
-						if v[i] != base[i] {
-							t.Fatalf("%s: cfg %s threads=%d differs from baseline at %d: %g vs %g",
-								name, cfg, threads, i, v[i], base[i])
-						}
+		kernelCfg = KernelConfig{KC: kcBlock, NC: nc}
+		for _, threads := range []int{1, 4} {
+			SetThreads(threads)
+			got := run()
+			if baseline == nil {
+				baseline = got
+				continue
+			}
+			for name, v := range got {
+				base := baseline[name]
+				for i := range v {
+					if v[i] != base[i] {
+						t.Fatalf("%s: cfg %s threads=%d differs from baseline at %d: %g vs %g",
+							name, kernelCfg, threads, i, v[i], base[i])
 					}
 				}
 			}
@@ -347,53 +316,14 @@ func TestKernelConfigsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAutotuneInstallsGridWinner checks the tuner picks from the candidate
-// grid with KC unchanged, installs the winner, and caches the result.
-func TestAutotuneInstallsGridWinner(t *testing.T) {
-	defer func(c KernelConfig) { kernelCfg.Store(&c) }(CurrentKernelConfig())
-	autotuneMu.Lock()
-	saved := autotuneResult
-	autotuneResult = nil
-	autotuneMu.Unlock()
-	defer func() {
-		autotuneMu.Lock()
-		autotuneResult = saved
-		autotuneMu.Unlock()
-	}()
-
-	kcBefore := CurrentKernelConfig().KC
-	r := Autotune()
-	if r == nil || len(r.Candidates) != 9 {
-		t.Fatalf("autotune result %+v, want 9 candidates", r)
-	}
-	if r.Config.KC != kcBefore {
-		t.Errorf("autotune changed KC %d -> %d; KC must stay fixed (bit-visible)", kcBefore, r.Config.KC)
-	}
-	if err := r.Config.validate(); err != nil {
-		t.Errorf("autotune installed invalid config: %v", err)
-	}
-	if got := CurrentKernelConfig(); got != r.Config {
-		t.Errorf("autotune reported %s but installed %s", r.Config, got)
-	}
-	if again := Autotune(); again != r {
-		t.Errorf("second Autotune call re-measured; want cached result")
-	}
-	if Autotuned() != r {
-		t.Errorf("Autotuned() did not return the cached result")
-	}
-}
-
-// TestAutotunedPathSteadyStateAllocs pins the autotuned configuration's
+// TestAutotunedPathSteadyStateAllocs pins the fixed configuration's
 // kernels (forward GEMM and the fp16 pack/multiply cycle the fp16 training
 // path runs per step) at zero steady-state allocations.
 func TestAutotunedPathSteadyStateAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	defer func(c KernelConfig) { kernelCfg.Store(&c) }(CurrentKernelConfig())
 	defer SetThreads(SetThreads(1))
-	cfg := Autotune().Config
-	kernelCfg.Store(&cfg)
 
 	rng := rand.New(rand.NewSource(106))
 	a := New(32, 144)
@@ -402,7 +332,7 @@ func TestAutotunedPathSteadyStateAllocs(t *testing.T) {
 	randFill(rng, w.Data)
 	dst := New(32, 64)
 	if n := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, w) }); n != 0 {
-		t.Errorf("autotuned MatMulInto allocates %v/op, want 0", n)
+		t.Errorf("MatMulInto allocates %v/op, want 0", n)
 	}
 
 	pb := PackF16(w)

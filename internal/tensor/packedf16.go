@@ -11,9 +11,9 @@ import (
 // reusable packed-weight buffer, and the weight store of the fp16 training
 // path.
 //
-// Layout: for each kc x nc panel (the KernelConfig blocking captured at
-// pack time — the packed order must match the multiply's panel walk even if
-// the process-wide config changes later), the pk x jn block is stored
+// Layout: for each kc x nc panel (the kernelCfg blocking captured at pack
+// time — the packed order must match the multiply's panel walk even if a
+// test shrinks the blocking later), the pk x jn block is stored
 // contiguously (rows p ascending, columns j ascending). The multiply then
 // walks the packed storage strictly sequentially — no leading-dimension
 // strides — and decodes one panel at a time into a pooled f64 tile that
@@ -40,7 +40,7 @@ type PackedF16 struct {
 }
 
 // PackF16 packs a [K, N] matrix into panel-major half-precision storage
-// under the current KernelConfig blocking. The packed buffer is immutable
+// under the current kernel blocking. The packed buffer is immutable
 // and safe for concurrent readers; repack via PackF16Into to mutate.
 func PackF16(b *Tensor) *PackedF16 {
 	pb := &PackedF16{}
@@ -56,7 +56,7 @@ func PackF16Into(pb *PackedF16, b *Tensor) {
 	if len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: PackF16 wants a [K,N] matrix, got %v", b.Shape))
 	}
-	cfg := kernelCfg.Load()
+	cfg := kernelCfg
 	k, n := b.Shape[0], b.Shape[1]
 	pb.K, pb.N = k, n
 	pb.kc, pb.nc = cfg.KC, cfg.NC
@@ -96,9 +96,9 @@ func (pb *PackedF16) Bytes() int64 { return int64(len(pb.panels)) * 2 }
 // extra trip over the activations.
 //
 // The panel walk uses the blocking captured at pack time, and each decoded
-// panel runs through the same register micro-kernel as gemmBlocked (first
+// panel runs through the same register micro-kernel as gemmFused (first
 // depth panel overwrites, later panels continue the chain) — so as long as
-// pack-time kc matches the live config's KC, the result is exactly
+// pack-time kc matches the live blocking's KC, the result is exactly
 // MatMulInto against the fp16-quantized weights: deterministic, and
 // independent of the batch size m a row is computed under.
 func MatMulPackedF16(m int, a []float64, pb *PackedF16, c []float64, bias []float64, relu bool, out []f16.F16) {
@@ -106,7 +106,6 @@ func MatMulPackedF16(m int, a []float64, pb *PackedF16, c []float64, bias []floa
 	if len(a) < m*k || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: packed matmul m=%d with len(a)=%d len(c)=%d for [%d,%d]", m, len(a), len(c), k, n))
 	}
-	mr := kernelCfg.Load().MR
 	off := 0
 	for jj := 0; jj < n; jj += pb.nc {
 		jn := min(n-jj, pb.nc)
@@ -116,7 +115,7 @@ func MatMulPackedF16(m int, a []float64, pb *PackedF16, c []float64, bias []floa
 			tile := getSlab(pk * jn)
 			f16.DecodeSlice(tile.f, pb.panels[off:off+pk*jn])
 			off += pk * jn
-			runPanel(mr, m, pk, jn, a[pp:], k, tile.f, jn, c[jj:], n, pp > 0)
+			runPanel(m, pk, jn, a[pp:], k, tile.f, jn, c[jj:], n, pp > 0)
 			tile.put()
 		}
 		// Epilogue on the finished column block: bias, activation, and the

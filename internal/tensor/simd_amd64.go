@@ -8,13 +8,13 @@ package tensor
 //
 // Numerics: the panel kernels vectorize across OUTPUT COLUMNS — each SIMD
 // lane is one output element's private accumulator chain, still advancing
-// in ascending depth order — so column blocking, micro-tile shape, thread
+// in ascending depth order — so column blocking, row blocking, thread
 // partitioning, and batch grouping remain bit-invisible exactly as in the
 // scalar kernels. The one intentional change is fused multiply-add (one
 // rounding per term instead of two), which makes SIMD-on results differ
 // from SIMD-off results at the ulp level; every path in the process uses
 // the same kernels, so all within-process exactness contracts (packed-f16,
-// batch invariance, thread counts, autotune candidates) hold bit-for-bit.
+// batch invariance, thread counts, panel widths) hold bit-for-bit.
 // The NT dot kernel additionally splits its reduction into four fixed
 // lanes ((l0+l2)+(l1+l3), then the scalar tail) — fixed per shape, never
 // varying with threads or blocking.
@@ -64,16 +64,13 @@ func fmaPanelT1(a *float64, lda int, b *float64, ldb int, c *float64, ldc int, k
 //go:noescape
 func fmaNT4(a *float64, b *float64, ldb int, k int, c *float64)
 
-// simdPanel drives the FMA panel kernels over the row dimension. mr picks
-// the row-block unroll (4 or 2); remainder rows fall through to narrower
-// kernels. Row grouping never moves terms between additions, so every mr
-// produces identical bits.
-func simdPanel(mr, m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
+// simdPanel drives the FMA panel kernels over the row dimension: 4-row
+// blocks, then 2- and 1-row remainders. Row grouping never moves terms
+// between additions, so every row split produces identical bits.
+func simdPanel(m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
 	i := 0
-	if mr >= 4 {
-		for ; i+4 <= m; i += 4 {
-			fmaPanel4(&a[i*lda], lda, &b[0], ldb, &c[i*ldc], ldc, pk, jn, load)
-		}
+	for ; i+4 <= m; i += 4 {
+		fmaPanel4(&a[i*lda], lda, &b[0], ldb, &c[i*ldc], ldc, pk, jn, load)
 	}
 	for ; i+2 <= m; i += 2 {
 		fmaPanel2(&a[i*lda], lda, &b[0], ldb, &c[i*ldc], ldc, pk, jn, load)

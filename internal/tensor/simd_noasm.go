@@ -5,7 +5,7 @@ package tensor
 // Portable stubs: simdAvail stays false, so these are unreachable — the
 // dispatchers fall through to the register-tiled Go kernels.
 
-func simdPanel(mr, m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
+func simdPanel(m, pk, jn int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, load bool) {
 	panic("tensor: simdPanel without SIMD support")
 }
 
