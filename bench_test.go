@@ -401,14 +401,17 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 
 // --- Compute kernels (internal/tensor) ----------------------------------------
 //
-// BenchmarkKernel* and BenchmarkTrainStep* time the GEMM kernels (im2col +
-// cache-blocked parallel GEMM with a pooled scratch arena) and the training
-// steps built on them. Run with -benchmem: steady-state steps allocate
-// nothing.
+// BenchmarkKernel* time the kernel entry points the program runs, on the
+// shapes it runs them at: the conv forward as training calls it (packing
+// into a retained col) and as evaluation and serving call it (scratch
+// packing), the col backward, and LinearInto with a bias as
+// Linear.Forward calls it. BenchmarkTrainStep* time the training steps
+// built on them. Run with -benchmem: at one thread, steady-state steps
+// allocate nothing.
 
 // kernelCase is the mid-sized conv layer of the Fig. 6 classifier at batch
-// 32 — the hot shape of the training path.
-func kernelCase() (x, w, bias *tensor.Tensor, s tensor.ConvSpec) {
+// 32 — the hot shape of the training path — with its output and col.
+func kernelCase() (x, w, bias, out *tensor.Tensor, col []float64, s tensor.ConvSpec) {
 	rng := rand.New(rand.NewSource(1))
 	s = tensor.ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x = tensor.New(32, 16, 16, 16)
@@ -417,51 +420,65 @@ func kernelCase() (x, w, bias *tensor.Tensor, s tensor.ConvSpec) {
 	w.Randn(rng, 0.3)
 	bias = tensor.New(32)
 	bias.Randn(rng, 0.1)
-	return x, w, bias, s
+	out = tensor.New(32, 32, 16, 16)
+	col = make([]float64, 32*16*3*3*16*16)
+	return x, w, bias, out, col, s
 }
 
-// BenchmarkKernelConv2DForward times one forward convolution into a reused
-// output tensor.
-func BenchmarkKernelConv2DForward(b *testing.B) {
-	x, w, bias, s := kernelCase()
-	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
-	out := tensor.New(x.Shape[0], s.OutC, oh, ow)
+// BenchmarkKernelConv2DForwardTrain times the training forward: im2col into
+// the retained col, GEMM and bias into a reused output.
+func BenchmarkKernelConv2DForwardTrain(b *testing.B) {
+	x, w, bias, out, col, s := kernelCase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2DInto(out, x, w, bias, s)
+		tensor.Conv2DFusedColInto(out, x, w, bias, s, false, col)
 	}
 }
 
-// BenchmarkKernelConv2DBackward times all three gradients (dx, dw, db) into
-// reused tensors.
+// BenchmarkKernelConv2DForwardEval times the evaluation and serving
+// forward, which packs into per-worker scratch instead of a retained col.
+func BenchmarkKernelConv2DForwardEval(b *testing.B) {
+	x, w, bias, out, _, s := kernelCase()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Conv2DFusedColInto(out, x, w, bias, s, false, nil)
+	}
+}
+
+// BenchmarkKernelConv2DBackward times all three gradients (dx, dw, db)
+// into reused tensors, from the col the training forward retained.
 func BenchmarkKernelConv2DBackward(b *testing.B) {
-	x, w, bias, s := kernelCase()
-	y := tensor.Conv2D(x, w, bias, s)
+	x, w, bias, out, col, s := kernelCase()
+	tensor.Conv2DFusedColInto(out, x, w, bias, s, false, col)
 	rng := rand.New(rand.NewSource(2))
-	dy := tensor.New(y.Shape...)
+	dy := tensor.New(out.Shape...)
 	dy.Randn(rng, 1)
 	dx, dw, db := tensor.New(x.Shape...), tensor.New(w.Shape...), tensor.New(s.OutC)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
+		tensor.Conv2DBackwardColInto(dx, dw, db, col, x, w, dy, s)
 	}
 }
 
-// BenchmarkKernelMatMul times the blocked parallel GEMM on a square case.
-func BenchmarkKernelMatMul(b *testing.B) {
+// BenchmarkKernelLinear times the fused dense GEMM (product plus bias) on
+// a square 192 x 192 case.
+func BenchmarkKernelLinear(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 192
-	a := tensor.New(n, n)
-	a.Randn(rng, 1)
-	bb := tensor.New(n, n)
-	bb.Randn(rng, 1)
+	x := tensor.New(n, n)
+	x.Randn(rng, 1)
+	w := tensor.New(n, n)
+	w.Randn(rng, 1)
+	bias := tensor.New(n)
+	bias.Randn(rng, 0.1)
 	dst := tensor.New(n, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(dst, a, bb)
+		tensor.LinearInto(dst, x, w, bias, false)
 	}
 }
 

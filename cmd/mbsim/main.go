@@ -99,8 +99,8 @@ func main() {
 	// A CLI-only trailer, outside the scenario render so server text output
 	// stays a pure function of the params.
 	if s.Name == "sweep" {
-		st := e.Cache().Stats()
-		fmt.Printf("cache: %d plans built, %d reused\n", st.PlanMisses, st.PlanHits)
+		plans := e.Cache().Stats().Tables["plan"]
+		fmt.Printf("cache: %d plans built, %d reused\n", plans.Misses, plans.Hits)
 	}
 }
 

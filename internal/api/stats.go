@@ -32,14 +32,16 @@ type EngineStats struct {
 	SIMD       bool   `json:"simd"`        // AVX2+FMA kernels active
 }
 
-// CacheStats is the sweep engine cache's section of Stats.
+// CacheStats is the sweep engine cache's snapshot (sweep.Cache.Stats) and
+// its section of Stats: totals over the memo tables, then each table under
+// the name the cache gives it.
 type CacheStats struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-	Bytes     int64   `json:"bytes"`
-	MaxBytes  int64   `json:"max_bytes"`
+	HitRate   float64 `json:"hit_rate"`  // hits / (hits + misses), 0 before any lookup
+	Bytes     int64   `json:"bytes"`     // estimated footprint of the cached artifacts
+	MaxBytes  int64   `json:"max_bytes"` // configured bound, 0 = unbounded
 
 	Tables map[string]TableStats `json:"tables"`
 }

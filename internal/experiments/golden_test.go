@@ -123,20 +123,20 @@ func TestRunnerCacheReuse(t *testing.T) {
 	if _, err := all.Run(context.Background(), r, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	first := r.E.Cache().Stats()
-	if first.PlanHits == 0 {
+	first := r.E.Cache().Stats().Tables
+	if first["plan"].Hits == 0 {
 		t.Error("figures share cells; expected plan cache hits within one suite run")
 	}
 	if _, err := all.Run(context.Background(), r, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	second := r.E.Cache().Stats()
-	if second.PlanMisses != first.PlanMisses {
+	second := r.E.Cache().Stats().Tables
+	if second["plan"].Misses != first["plan"].Misses {
 		t.Errorf("re-running the suite planned %d new schedules, want 0",
-			second.PlanMisses-first.PlanMisses)
+			second["plan"].Misses-first["plan"].Misses)
 	}
-	if second.NetworkMisses != first.NetworkMisses {
+	if second["network"].Misses != first["network"].Misses {
 		t.Errorf("re-running the suite built %d new networks, want 0",
-			second.NetworkMisses-first.NetworkMisses)
+			second["network"].Misses-first["network"].Misses)
 	}
 }

@@ -235,7 +235,7 @@ func (o *convOp) forward(n int, in []f16.F16) []f16.F16 {
 	x := o.in.at(n)
 	f16.DecodeSlice(x.Data, in[:len(x.Data)])
 	y := o.y.at(n)
-	tensor.Conv2DFusedInto(y, x, o.weight, o.bias, o.spec, o.relu)
+	tensor.Conv2DFusedColInto(y, x, o.weight, o.bias, o.spec, o.relu, nil)
 	f16.EncodeSlice(o.out[:n*o.per], y.Data)
 	return o.out
 }

@@ -136,20 +136,20 @@ func NewConv2D(name string, rng *rand.Rand, inC, outC, k, stride, pad int) *Conv
 	}
 }
 
-// Forward runs the convolution, caching the input and its im2col packing
-// for backward.
+// Forward runs the convolution. In training it caches the input and its
+// im2col packing for backward; evaluation packs into kernel scratch.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh, ow := c.Spec.OutDims(x.Shape[2], x.Shape[3])
 	out := ensure4(c.out.sel(train), x.Shape[0], c.Spec.OutC, oh, ow)
-	if !train {
-		tensor.Conv2DFusedInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false)
-		return out
+	var col []float64
+	if train {
+		c.x = x
+		if n := x.Shape[0] * c.Spec.InC * c.Spec.KH * c.Spec.KW * oh * ow; len(c.col) != n {
+			c.col = make([]float64, n)
+		}
+		col = c.col
 	}
-	c.x = x
-	if n := x.Shape[0] * c.Spec.InC * c.Spec.KH * c.Spec.KW * oh * ow; len(c.col) != n {
-		c.col = make([]float64, n)
-	}
-	tensor.Conv2DFusedColInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false, c.col)
+	tensor.Conv2DFusedColInto(out, x, c.Weight.Data, c.Bias.Data, c.Spec, false, col)
 	return out
 }
 

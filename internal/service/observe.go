@@ -13,7 +13,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/infer"
 	"repro/internal/metrics"
-	"repro/internal/sweep"
 )
 
 // Bucket layouts. Durations span sub-millisecond inference to multi-second
@@ -114,33 +113,18 @@ func (s *Server) registerCollectors() {
 	r := s.obs.reg
 	e := s.engine
 
-	// Sweep cache, per table and kind. Closures snapshot Stats() per series;
-	// a scrape takes a handful of snapshots, which is fine at scrape rates.
-	type tableCounters struct {
-		table string
-		fn    func(sweep.Stats) (hits, misses, evictions int64)
+	// Sweep cache, per memo table and kind. Each series reads one counter
+	// of a fresh Stats() snapshot, which is fine at scrape rates.
+	cacheStat := func(table string, pick func(api.TableStats) int64) func() float64 {
+		return func() float64 { return float64(pick(e.Cache().Stats().Tables[table])) }
 	}
-	for _, tc := range []tableCounters{
-		{"network", func(st sweep.Stats) (int64, int64, int64) {
-			return st.NetworkHits, st.NetworkMisses, st.NetworkEvictions
-		}},
-		{"plan", func(st sweep.Stats) (int64, int64, int64) {
-			return st.PlanHits, st.PlanMisses, st.PlanEvictions
-		}},
-		{"traffic", func(st sweep.Stats) (int64, int64, int64) {
-			return st.TrafficHits, st.TrafficMisses, st.TrafficEvictions
-		}},
-	} {
-		tc := tc
+	for table := range e.Cache().Stats().Tables {
 		r.CounterFunc("sweep_cache_hits_total", "Sweep cache hits, by memo table.",
-			func() float64 { h, _, _ := tc.fn(e.Cache().Stats()); return float64(h) },
-			"table", tc.table)
+			cacheStat(table, func(t api.TableStats) int64 { return t.Hits }), "table", table)
 		r.CounterFunc("sweep_cache_misses_total", "Sweep cache misses, by memo table.",
-			func() float64 { _, m, _ := tc.fn(e.Cache().Stats()); return float64(m) },
-			"table", tc.table)
+			cacheStat(table, func(t api.TableStats) int64 { return t.Misses }), "table", table)
 		r.CounterFunc("sweep_cache_evictions_total", "Sweep cache evictions, by memo table.",
-			func() float64 { _, _, ev := tc.fn(e.Cache().Stats()); return float64(ev) },
-			"table", tc.table)
+			cacheStat(table, func(t api.TableStats) int64 { return t.Evictions }), "table", table)
 	}
 	r.GaugeFunc("sweep_cache_bytes", "Estimated bytes held by the sweep artifact cache.",
 		func() float64 { return float64(e.Cache().Stats().Bytes) })

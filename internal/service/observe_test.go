@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -61,7 +62,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 // scrape carries the phase histograms, route counters and subsystem series
 // with consistent values.
 func TestMetricsScrape(t *testing.T) {
-	_, ts := newTestServer(t, Config{InferMaxDelay: 200 * time.Microsecond})
+	svc, ts := newTestServer(t, Config{InferMaxDelay: 200 * time.Microsecond})
 
 	resp, body := postRun(t, ts, `{"scenario":"fig10"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -106,6 +107,19 @@ func TestMetricsScrape(t *testing.T) {
 	}
 	if v := metricValue(t, out, `sweep_cells_completed_total`); v < 1 {
 		t.Fatalf("sweep_cells_completed_total = %v, want >= 1", v)
+	}
+	// Every cache table's series read the counters /v1/stats reports.
+	tables := svc.Stats().Cache.Tables
+	if len(tables) != 3 {
+		t.Fatalf("cache tables = %v, want network, plan and traffic", tables)
+	}
+	for table, c := range tables {
+		for kind, want := range map[string]int64{"hits": c.Hits, "misses": c.Misses, "evictions": c.Evictions} {
+			series := fmt.Sprintf("sweep_cache_%s_total{table=%q}", kind, table)
+			if v := metricValue(t, out, series); v != float64(want) {
+				t.Errorf("%s = %v, /v1/stats says %d", series, v, want)
+			}
+		}
 	}
 	// The scrape itself and the run must both appear under their routes; an
 	// unmatched path gets the bounded "unmatched" label, not its raw URL.

@@ -379,7 +379,6 @@ func unknownScenario(name string) *api.Error {
 
 // Stats snapshots the serving, job and cache counters.
 func (s *Server) Stats() api.Stats {
-	st := s.engine.Cache().Stats()
 	js := s.jobs.Stats()
 	return api.Stats{
 		Build:       buildinfo.Get(),
@@ -397,15 +396,7 @@ func (s *Server) Stats() api.Stats {
 			SIMD:       tensor.SIMDEnabled(),
 		},
 		Infer: s.batcher.Stats(),
-		Cache: api.CacheStats{
-			Hits: st.Hits(), Misses: st.Misses(), Evictions: st.Evictions(),
-			HitRate: st.HitRate(), Bytes: st.Bytes, MaxBytes: st.MaxBytes,
-			Tables: map[string]api.TableStats{
-				"network": {Hits: st.NetworkHits, Misses: st.NetworkMisses, Evictions: st.NetworkEvictions},
-				"plan":    {Hits: st.PlanHits, Misses: st.PlanMisses, Evictions: st.PlanEvictions},
-				"traffic": {Hits: st.TrafficHits, Misses: st.TrafficMisses, Evictions: st.TrafficEvictions},
-			},
-		},
+		Cache: s.engine.Cache().Stats(),
 	}
 }
 

@@ -246,11 +246,11 @@ func TestConcurrentClients(t *testing.T) {
 	// resnet50/MBS1; fig5 adds MBS2; single adds the batch-0 default MBS2
 	// key) — 64 requests may rebuild an evicted key but must not plan once
 	// per request.
-	if st.PlanMisses >= 32 {
-		t.Errorf("plan misses = %d for 64 requests — singleflight/caching not coalescing", st.PlanMisses)
+	if st.Tables["plan"].Misses >= 32 {
+		t.Errorf("plan misses = %d for 64 requests — singleflight/caching not coalescing", st.Tables["plan"].Misses)
 	}
-	if st.HitRate() < 0.5 {
-		t.Errorf("hit rate = %.3f, want coalesced lookups", st.HitRate())
+	if st.HitRate < 0.5 {
+		t.Errorf("hit rate = %.3f, want coalesced lookups", st.HitRate)
 	}
 	if st.Bytes > maxBytes {
 		t.Errorf("cache bytes %d exceed bound %d", st.Bytes, maxBytes)

@@ -73,8 +73,8 @@ drain:
 		}
 	}
 	st := e.Cache().Stats()
-	if int64(cacheEvents) != st.Hits()+st.Misses()+st.Evictions() {
-		t.Fatalf("cache events = %d, counters say %d", cacheEvents, st.Hits()+st.Misses()+st.Evictions())
+	if int64(cacheEvents) != st.Hits+st.Misses+st.Evictions {
+		t.Fatalf("cache events = %d, counters say %d", cacheEvents, st.Hits+st.Misses+st.Evictions)
 	}
 }
 

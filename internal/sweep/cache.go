@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -137,8 +138,14 @@ func (b *budget) snapshot() (cur, max int64) {
 // waiters, and the finished artifact still lands in the cache for future
 // requests. A cancelled waiter therefore cannot poison the shared entry.
 type memo[K comparable, V any] struct {
-	mu        sync.Mutex
-	m         map[K]*memoEntry[V]
+	table
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+// table is a memo's counters and event feed, the part that does not depend
+// on its key and value types.
+type table struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -149,8 +156,8 @@ type memo[K comparable, V any] struct {
 	hook atomic.Pointer[func(kind string)]
 }
 
-func (mm *memo[K, V]) event(kind string) {
-	if fn := mm.hook.Load(); fn != nil {
+func (t *table) event(kind string) {
+	if fn := t.hook.Load(); fn != nil {
 		(*fn)(kind)
 	}
 }
@@ -248,22 +255,32 @@ type Cache struct {
 // restores the unbounded default.
 func (c *Cache) SetMaxBytes(maxBytes int64) { c.bud.setMax(maxBytes) }
 
+// namedTable is a memo table with the name it is reported under.
+type namedTable struct {
+	name string
+	*table
+}
+
+// tables names each memo table once. The names key Stats().Tables (and so
+// the /v1/stats cache section and the /metrics table label) and are the
+// table argument of the event hook.
+func (c *Cache) tables() [3]namedTable {
+	return [3]namedTable{{"network", &c.nets.table}, {"plan", &c.plans.table}, {"traffic", &c.ledgers.table}}
+}
+
 // SetEventHook installs fn to observe every cache counter event with its
-// table name ("network" | "plan" | "traffic") and kind ("hit" | "miss" |
-// "eviction"). fn must be safe for concurrent use and cheap — it runs on the
-// lookup path (hits/misses) and under the budget lock (evictions). nil
-// uninstalls.
+// table name and kind ("hit" | "miss" | "eviction"). fn must be safe for
+// concurrent use and cheap — it runs on the lookup path (hits/misses) and
+// under the budget lock (evictions). nil uninstalls.
 func (c *Cache) SetEventHook(fn func(table, kind string)) {
-	install := func(table string) *func(kind string) {
-		if fn == nil {
-			return nil
+	for _, t := range c.tables() {
+		var h *func(kind string)
+		if fn != nil {
+			f := func(kind string) { fn(t.name, kind) }
+			h = &f
 		}
-		h := func(kind string) { fn(table, kind) }
-		return &h
+		t.hook.Store(h)
 	}
-	c.nets.hook.Store(install("network"))
-	c.plans.hook.Store(install("plan"))
-	c.ledgers.hook.Store(install("traffic"))
 }
 
 // Cost estimates. Values are immutable object graphs, so a flat per-element
@@ -315,48 +332,20 @@ func (c *Cache) Traffic(ctx context.Context, network string, opts core.Options) 
 	})
 }
 
-// Stats reports hit/miss/eviction counters per cache table plus the shared
-// byte accounting.
-type Stats struct {
-	NetworkHits, NetworkMisses, NetworkEvictions int64
-	PlanHits, PlanMisses, PlanEvictions          int64
-	TrafficHits, TrafficMisses, TrafficEvictions int64
-
-	// Bytes is the estimated footprint of the cached artifacts; MaxBytes is
-	// the configured bound (0 = unbounded).
-	Bytes, MaxBytes int64
-}
-
-// Hits returns the total hit count across tables.
-func (s Stats) Hits() int64 { return s.NetworkHits + s.PlanHits + s.TrafficHits }
-
-// Misses returns the total miss count across tables.
-func (s Stats) Misses() int64 { return s.NetworkMisses + s.PlanMisses + s.TrafficMisses }
-
-// Evictions returns the total eviction count across tables.
-func (s Stats) Evictions() int64 {
-	return s.NetworkEvictions + s.PlanEvictions + s.TrafficEvictions
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits() + s.Misses()
-	if total == 0 {
-		return 0
+// Stats returns a snapshot of the cache counters, per table and in total,
+// and of the shared byte accounting.
+func (c *Cache) Stats() api.CacheStats {
+	st := api.CacheStats{Tables: make(map[string]api.TableStats, 3)}
+	st.Bytes, st.MaxBytes = c.bud.snapshot()
+	for _, t := range c.tables() {
+		ts := api.TableStats{Hits: t.hits.Load(), Misses: t.misses.Load(), Evictions: t.evictions.Load()}
+		st.Tables[t.name] = ts
+		st.Hits += ts.Hits
+		st.Misses += ts.Misses
+		st.Evictions += ts.Evictions
 	}
-	return float64(s.Hits()) / float64(total)
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	cur, max := c.bud.snapshot()
-	return Stats{
-		NetworkHits: c.nets.hits.Load(), NetworkMisses: c.nets.misses.Load(),
-		NetworkEvictions: c.nets.evictions.Load(),
-		PlanHits:         c.plans.hits.Load(), PlanMisses: c.plans.misses.Load(),
-		PlanEvictions: c.plans.evictions.Load(),
-		TrafficHits:   c.ledgers.hits.Load(), TrafficMisses: c.ledgers.misses.Load(),
-		TrafficEvictions: c.ledgers.evictions.Load(),
-		Bytes:            cur, MaxBytes: max,
+	if lookups := st.Hits + st.Misses; lookups > 0 {
+		st.HitRate = float64(st.Hits) / float64(lookups)
 	}
+	return st
 }

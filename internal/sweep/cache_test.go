@@ -130,8 +130,8 @@ func TestCacheUnboundedByDefault(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Evictions() != 0 {
-		t.Errorf("unbounded cache evicted %d entries", st.Evictions())
+	if st.Evictions != 0 {
+		t.Errorf("unbounded cache evicted %d entries", st.Evictions)
 	}
 	if st.MaxBytes != 0 {
 		t.Errorf("MaxBytes = %d, want 0", st.MaxBytes)
@@ -166,7 +166,7 @@ func TestCacheBoundHolds(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Evictions() == 0 {
+	if st.Evictions == 0 {
 		t.Error("expected evictions past the bound")
 	}
 	if st.Bytes > maxBytes {
@@ -197,7 +197,7 @@ func TestCacheSetMaxBytesEvictsDown(t *testing.T) {
 	if after.Bytes > target {
 		t.Errorf("bytes %d after SetMaxBytes(%d)", after.Bytes, target)
 	}
-	if after.Evictions() == 0 {
+	if after.Evictions == 0 {
 		t.Error("tightening the bound evicted nothing")
 	}
 }

@@ -98,11 +98,13 @@ func TestCacheSharesArtifacts(t *testing.T) {
 		t.Error("repeated Traffic should return the cached ledger")
 	}
 	st := c.Stats()
-	if st.PlanMisses != 1 || st.NetworkMisses != 1 || st.TrafficMisses != 1 {
-		t.Errorf("stats = %+v, want one miss per table", st)
+	if len(st.Tables) != 3 {
+		t.Errorf("stats = %+v, want the network, plan and traffic tables", st)
 	}
-	if st.PlanHits < 1 || st.NetworkHits < 1 || st.TrafficHits < 1 {
-		t.Errorf("stats = %+v, want hits on repeats", st)
+	for _, table := range []string{"network", "plan", "traffic"} {
+		if ts := st.Tables[table]; ts.Misses != 1 || ts.Hits < 1 {
+			t.Errorf("%s stats = %+v, want one miss and hits on repeats", table, ts)
+		}
 	}
 }
 
@@ -259,8 +261,8 @@ func TestSimulateGridConcurrent(t *testing.T) {
 	}
 	st := e.Cache().Stats()
 	// 2 networks x 6 configs = 12 distinct plans for 48 cells.
-	if st.PlanMisses != 12 {
-		t.Errorf("plan misses = %d, want 12", st.PlanMisses)
+	if st.Tables["plan"].Misses != 12 {
+		t.Errorf("plan misses = %d, want 12", st.Tables["plan"].Misses)
 	}
 }
 

@@ -32,20 +32,57 @@ func randomConvCase(rng *rand.Rand) (x, w, b *Tensor, s ConvSpec) {
 	return x, w, b, s
 }
 
+// convCol runs the training forward into fresh tensors, returning the
+// output and the retained im2col packing the backward reads.
+func convCol(x, w, b *Tensor, s ConvSpec) (*Tensor, []float64) {
+	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
+	out := New(x.Shape[0], s.OutC, oh, ow)
+	col := make([]float64, x.Shape[0]*s.InC*s.KH*s.KW*oh*ow)
+	Conv2DFusedColInto(out, x, w, b, s, false, col)
+	return out, col
+}
+
+// conv2D runs the evaluation/serving forward (scratch packing) into a
+// fresh tensor.
+func conv2D(x, w, b *Tensor, s ConvSpec) *Tensor {
+	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
+	out := New(x.Shape[0], s.OutC, oh, ow)
+	Conv2DFusedColInto(out, x, w, b, s, false, nil)
+	return out
+}
+
+// conv2DBackward packs x through the training forward, then runs the col
+// backward into fresh gradients.
+func conv2DBackward(x, w, dy *Tensor, s ConvSpec) (dx, dw, db *Tensor) {
+	_, col := convCol(x, w, nil, s)
+	dx, dw, db = New(x.Shape...), New(w.Shape...), New(s.OutC)
+	Conv2DBackwardColInto(dx, dw, db, col, x, w, dy, s)
+	return dx, dw, db
+}
+
+// matMul is the plain product a x b: LinearInto with no bias and no ReLU.
+func matMul(a, b *Tensor) *Tensor {
+	return LinearInto(New(a.Shape[0], b.Shape[1]), a, b, nil, false)
+}
+
 // TestGEMMForwardMatchesNaive pins the GEMM forward pass against the naive
-// oracle across randomized geometries (run under -race in CI).
+// oracle across randomized geometries (run under -race in CI), with
+// scratch packing and with a retained col, which must agree bit for bit.
 func TestGEMMForwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		x, w, b, s := randomConvCase(rng)
 		want := Conv2DNaive(x, w, b, s)
-		got := Conv2D(x, w, b, s)
+		got := conv2D(x, w, b, s)
 		if d := want.MaxAbsDiff(got); d > 1e-9 {
 			t.Errorf("trial %d (%+v, in %v): forward differs by %g", trial, s, x.Shape, d)
 		}
+		if retained, _ := convCol(x, w, b, s); sameBits(retained.Data, got.Data) >= 0 {
+			t.Errorf("trial %d: retained-col forward differs from the scratch forward", trial)
+		}
 		// nil bias path.
 		want = Conv2DNaive(x, w, nil, s)
-		got = Conv2D(x, w, nil, s)
+		got = conv2D(x, w, nil, s)
 		if d := want.MaxAbsDiff(got); d > 1e-9 {
 			t.Errorf("trial %d: nil-bias forward differs by %g", trial, d)
 		}
@@ -69,7 +106,7 @@ func TestGEMMBackwardMatchesNaive(t *testing.T) {
 			}
 		}
 		wdx, wdw, wdb := Conv2DBackwardNaive(x, w, dy, s)
-		gdx, gdw, gdb := Conv2DBackward(x, w, dy, s)
+		gdx, gdw, gdb := conv2DBackward(x, w, dy, s)
 		if d := wdx.MaxAbsDiff(gdx); d > 1e-9 {
 			t.Errorf("trial %d (%+v): dx differs by %g", trial, s, d)
 		}
@@ -88,17 +125,17 @@ func TestGEMMBackwardMatchesNaive(t *testing.T) {
 func TestGEMMDeterministicAcrossThreadCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, w, b, s := randomConvCase(rng)
-	y := Conv2D(x, w, b, s)
+	y := conv2D(x, w, b, s)
 	dy := New(y.Shape...)
 	dy.Randn(rng, 1)
 
 	defer SetThreads(SetThreads(1))
-	refOut := Conv2D(x, w, b, s)
-	refDx, refDw, refDb := Conv2DBackward(x, w, dy, s)
+	refOut := conv2D(x, w, b, s)
+	refDx, refDw, refDb := conv2DBackward(x, w, dy, s)
 	for _, threads := range []int{2, 3, 8} {
 		SetThreads(threads)
-		out := Conv2D(x, w, b, s)
-		dx, dw, db := Conv2DBackward(x, w, dy, s)
+		out := conv2D(x, w, b, s)
+		dx, dw, db := conv2DBackward(x, w, dy, s)
 		for i := range refOut.Data {
 			if out.Data[i] != refOut.Data[i] {
 				t.Fatalf("threads=%d: forward not bit-identical at %d", threads, i)
@@ -131,14 +168,15 @@ func TestConvBackwardIntoAccumulates(t *testing.T) {
 	dy := New(y.Shape...)
 	dy.Randn(rng, 1)
 
-	dx1, dw1, db1 := Conv2DBackward(x, w, dy, s)
+	dx1, dw1, db1 := conv2DBackward(x, w, dy, s)
+	_, col := convCol(x, w, b, s)
 	dx := New(x.Shape...)
 	dx.Fill(99) // must be fully overwritten
 	dw := New(w.Shape...)
 	dw.Fill(1)
 	db := New(s.OutC)
 	db.Fill(2)
-	Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
+	Conv2DBackwardColInto(dx, dw, db, col, x, w, dy, s)
 	if d := dx.MaxAbsDiff(dx1); d > 1e-12 {
 		t.Errorf("dx not overwritten cleanly (diff %g)", d)
 	}
@@ -175,8 +213,8 @@ func TestMatMulVariants(t *testing.T) {
 		}
 	}
 
-	if d := MatMul(a, b).MaxAbsDiff(ref); d > 1e-12 {
-		t.Errorf("MatMul differs by %g", d)
+	if d := matMul(a, b).MaxAbsDiff(ref); d > 1e-12 {
+		t.Errorf("LinearInto (no bias) differs by %g", d)
 	}
 
 	// AddMatMulNT: a [m,k] x (bT [n,k])^T == a x b.
@@ -219,7 +257,7 @@ func TestMatMulBlockedLarge(t *testing.T) {
 	a.Randn(rng, 1)
 	b := New(k, n)
 	b.Randn(rng, 1)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j += 101 {
 			var s float64
@@ -233,10 +271,53 @@ func TestMatMulBlockedLarge(t *testing.T) {
 	}
 }
 
-// TestKernelSteadyStateAllocs is the allocation regression test: with
-// preallocated outputs and a warm scratch arena, the GEMM kernels and
-// MatMulInto perform zero heap allocations per step (single-threaded, so
-// goroutine spawning doesn't enter the count).
+// TestConvEntryPointsRejectBadShapes: each conv entry point panics with
+// its message, before touching memory, on a buffer that does not fit the
+// convolution, and the backward refuses to run without the forward's col.
+func TestConvEntryPointsRejectBadShapes(t *testing.T) {
+	s := ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	x, w := New(2, 3, 5, 5), New(4, 3, 3, 3)
+	out, dy := New(2, 4, 5, 5), New(2, 4, 5, 5)
+	dx, dw, db := New(x.Shape...), New(w.Shape...), New(4)
+	col := make([]float64, 2*27*25)
+	for _, c := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"forward out shape", "tensor: conv out shape [2 4 5 4], want [2 4 5 5]",
+			func() { Conv2DFusedColInto(New(2, 4, 5, 4), x, w, nil, s, false, col) }},
+		{"forward col length", "tensor: conv col buffer 1349, want 1350",
+			func() { Conv2DFusedColInto(out, x, w, nil, s, false, col[:1349]) }},
+		{"backward nil col", "tensor: conv backward col buffer 0, want 1350",
+			func() { Conv2DBackwardColInto(dx, dw, db, nil, x, w, dy, s) }},
+		{"backward col length", "tensor: conv backward col buffer 1349, want 1350",
+			func() { Conv2DBackwardColInto(dx, dw, db, col[:1349], x, w, dy, s) }},
+		{"backward dy shape", "tensor: dy shape [2 4 5 4] mismatches conv output [2 4 5 5]",
+			func() { Conv2DBackwardColInto(dx, dw, db, col, x, w, New(2, 4, 5, 4), s) }},
+		{"backward dx shape", "tensor: dx shape [2 3 5 4], want [2 3 5 5]",
+			func() { Conv2DBackwardColInto(New(2, 3, 5, 4), dw, db, col, x, w, dy, s) }},
+		{"backward dw shape", "tensor: dw shape [4 3 3 2], want [4 3 3 3]",
+			func() { Conv2DBackwardColInto(dx, New(4, 3, 3, 2), db, col, x, w, dy, s) }},
+		{"backward db shape", "tensor: db shape [5], want [4]",
+			func() { Conv2DBackwardColInto(dx, dw, New(5), col, x, w, dy, s) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.call()
+		})
+	}
+}
+
+// TestKernelSteadyStateAllocs is the allocation regression test for the
+// conv passes and float64 GEMM entry points training and serving run: with
+// preallocated outputs and a warm scratch arena, each performs zero heap
+// allocations per call (single-threaded, so goroutine spawning doesn't
+// enter the count). TestAutotunedPathSteadyStateAllocs pins the bias-free
+// product and the fp16 pack+multiply cycle.
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -244,35 +325,42 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	defer SetThreads(SetThreads(1))
 	rng := rand.New(rand.NewSource(17))
 
-	a := New(32, 64)
-	a.Randn(rng, 1)
-	b := New(64, 48)
-	b.Randn(rng, 1)
-	dst := New(32, 48)
-	if n := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, b) }); n != 0 {
-		t.Errorf("MatMulInto allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { MatMul(a, b) }); n > 4 {
-		t.Errorf("MatMul allocates %v times per call, want <= 4 (result tensor only)", n)
-	}
-
 	s := ConvSpec{InC: 8, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x := New(4, 8, 12, 12)
 	x.Randn(rng, 1)
 	w := New(16, 8, 3, 3)
 	w.Randn(rng, 1)
 	bias := New(16)
-	out := Conv2D(x, w, bias, s)
+	out, col := convCol(x, w, bias, s)
 	dy := New(out.Shape...)
 	dy.Randn(rng, 1)
 	dx, dw, db := New(x.Shape...), New(w.Shape...), New(16)
-	// Warm the scratch arena once, then demand zero steady-state allocs.
-	Conv2DInto(out, x, w, bias, s)
-	Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
-	if n := testing.AllocsPerRun(20, func() { Conv2DInto(out, x, w, bias, s) }); n != 0 {
-		t.Errorf("Conv2DInto allocates %v times per call in steady state, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { Conv2DBackwardInto(dx, dw, db, x, w, dy, s) }); n != 0 {
-		t.Errorf("Conv2DBackwardInto allocates %v times per call in steady state, want 0", n)
+
+	a := New(32, 144)
+	a.Randn(rng, 1)
+	b := New(144, 64)
+	b.Randn(rng, 1)
+	lb := New(64)
+	dst := New(32, 64)
+	at := New(144, 32)
+	at.Randn(rng, 1)
+	bt := New(64, 144)
+	bt.Randn(rng, 1)
+
+	for _, k := range []struct {
+		name string
+		call func()
+	}{
+		{"conv forward, retained col", func() { Conv2DFusedColInto(out, x, w, bias, s, false, col) }},
+		{"conv forward, scratch", func() { Conv2DFusedColInto(out, x, w, bias, s, true, nil) }},
+		{"conv col backward", func() { Conv2DBackwardColInto(dx, dw, db, col, x, w, dy, s) }},
+		{"LinearInto", func() { LinearInto(dst, a, b, lb, true) }},
+		{"AddMatMulNT", func() { AddMatMulNT(dst, a, bt) }},
+		{"AddMatMulTN", func() { AddMatMulTN(dst, at, b) }},
+	} {
+		k.call() // warm the scratch arena
+		if n := testing.AllocsPerRun(20, k.call); n != 0 {
+			t.Errorf("%s allocates %v times per call in steady state, want 0", k.name, n)
+		}
 	}
 }

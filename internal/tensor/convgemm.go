@@ -8,18 +8,21 @@ package tensor
 //	data:      dx_n            = col2im(W^T[K, OutC] * dy_n[OutC, M])
 //
 // with K = InC*KH*KW, M = OH*OW, and col_n the im2col matrix of sample n.
-// im2col and col2im move runs: each kernel tap computes once the range of
-// output columns whose input column lies inside the row, so a row is a
-// copy (or a strided loop) between zeroed edges, with no per-element
+// Two entry points run them. The forward, Conv2DFusedColInto, packs into
+// the caller's retained col when training and into one pooled scratch slab
+// per worker when evaluating or serving (nil col); the backward,
+// Conv2DBackwardColInto, reads the retained col, so x is packed once per
+// step. im2col and col2im move runs: each kernel tap computes once the
+// range of output columns whose input column lies inside the row, so a row
+// is a copy (or a strided loop) between zeroed edges, with no per-element
 // bounds test. The forward parallelizes over samples, each worker owning a
-// contiguous sample range and one pooled scratch slab. The backward runs
-// one fork-join: weight and bias gradients are partitioned by output
-// channel and accumulate in ascending sample order straight into the
-// caller's buffers, and the data gradient is partitioned by sample. No sum
-// crosses workers, so the backward pass is deterministic for any thread
-// count. The single-threaded path calls the kernels directly (no closure,
-// no goroutine), so steady-state serial training performs zero heap
-// allocations.
+// contiguous sample range. The backward runs one fork-join: weight and
+// bias gradients are partitioned by output channel and accumulate in
+// ascending sample order straight into the caller's buffers, and the data
+// gradient is partitioned by sample. No sum crosses workers, so the
+// backward pass is deterministic for any thread count. The single-threaded
+// path calls the kernels directly (no closure, no goroutine), so
+// steady-state serial training performs zero heap allocations.
 
 // im2colSample fills col[K*M] with sample ni's patch matrix: row p indexes
 // (ic, ky, kx), column m indexes (oy, ox). Every cell is written (padding
@@ -27,13 +30,7 @@ package tensor
 func im2colSample(col []float64, x *Tensor, ni int, s ConvSpec, oh, ow int) {
 	h, w := x.Shape[2], x.Shape[3]
 	chw := x.Shape[1] * h * w
-	im2colRaw(col, x.Data[ni*chw:(ni+1)*chw], h, w, s, oh, ow)
-}
-
-// im2colRaw is im2colSample over one sample's raw [InC*H*W] storage — the
-// form the inference path uses after decoding a sample's fp16 activations
-// into a pooled slab.
-func im2colRaw(col, xs []float64, h, w int, s ConvSpec, oh, ow int) {
+	xs := x.Data[ni*chw : (ni+1)*chw]
 	m := oh * ow
 	p := 0
 	for ic := 0; ic < s.InC; ic++ {
@@ -84,7 +81,7 @@ func tapRange(k, pad, stride, size, outSize int) (lo, hi int) {
 
 // col2imSample scatter-adds dcol[K*M] (same layout as im2colSample) into
 // sample ni of dx. The sample's region of dx must be zeroed by the caller.
-// It adds over im2colRaw's runs in the same (tap, row, column) order as a
+// It adds over im2colSample's runs in the same (tap, row, column) order as a
 // per-element walk, so every dx element receives its terms in ascending
 // tap order.
 func col2imSample(dcol []float64, dx *Tensor, ni int, s ConvSpec, oh, ow int) {
@@ -123,25 +120,11 @@ func col2imSample(dcol []float64, dx *Tensor, ni int, s ConvSpec, oh, ow int) {
 }
 
 // conv2DBackwardGEMM overwrites dx with the data gradient and accumulates
-// (+=) the weight and bias gradients into dwAcc and dbAcc. colAll, when
-// non-nil, is the forward pass's retained im2col packing (see
-// Conv2DBackwardColInto); otherwise every sample is packed once here,
-// since every worker reads every sample's packing.
-func conv2DBackwardGEMM(dx, dwAcc, dbAcc, x, weight, dy *Tensor, colAll []float64, s ConvSpec) {
-	n := x.Shape[0]
-	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
-	t := min(Threads(), max(n, s.OutC))
-	if colAll == nil {
-		km := s.InC * s.KH * s.KW * oh * ow
-		packed := getSlab(n * km)
-		defer packed.put()
-		colAll = packed.f
-		if t <= 1 {
-			im2colRange(colAll, x, s, oh, ow, 0, n)
-		} else {
-			parallelFor(n, func(lo, hi int) { im2colRange(colAll, x, s, oh, ow, lo, hi) })
-		}
-	}
+// (+=) the weight and bias gradients into dwAcc and dbAcc, reading the
+// forward pass's retained im2col packing colAll (every worker reads every
+// sample's packing).
+func conv2DBackwardGEMM(dx, dwAcc, dbAcc, weight, dy *Tensor, colAll []float64, s ConvSpec, oh, ow int) {
+	t := min(Threads(), max(dy.Shape[0], s.OutC))
 	if t <= 1 {
 		conv2DBackwardWorker(dx, dwAcc, dbAcc, weight, dy, colAll, s, oh, ow, 0, 1)
 		return
@@ -151,14 +134,6 @@ func conv2DBackwardGEMM(dx, dwAcc, dbAcc, x, weight, dy *Tensor, colAll []float6
 			conv2DBackwardWorker(dx, dwAcc, dbAcc, weight, dy, colAll, s, oh, ow, w, t)
 		}
 	})
-}
-
-// im2colRange packs samples [lo, hi) of x into their [K, M] slots of col.
-func im2colRange(col []float64, x *Tensor, s ConvSpec, oh, ow, lo, hi int) {
-	km := s.InC * s.KH * s.KW * oh * ow
-	for ni := lo; ni < hi; ni++ {
-		im2colSample(col[ni*km:(ni+1)*km], x, ni, s, oh, ow)
-	}
 }
 
 // conv2DBackwardWorker is worker w of t. It accumulates the dW rows and db

@@ -12,7 +12,7 @@ import "fmt"
 // the activations and no second buffer. The first depth panel stores its
 // register accumulators directly (no zero prefill) and later panels
 // continue the chain from memory; with no bias and no activation this is
-// the plain product MatMulInto computes.
+// the plain product (LinearInto with a nil bias).
 //
 // Numerics: every output element still accumulates its k terms in ascending
 // order, so results are bit-identical for any thread count. Relative to the
@@ -82,20 +82,15 @@ func gemmFused(m, k, n int, a []float64, lda int, b []float64, ldb int, c []floa
 	}
 }
 
-// Conv2DFusedInto computes out = act(conv(x) + bias) with the GEMM engine's
-// fused epilogue: per sample, im2col + blocked GEMM with the bias and
-// optional ReLU folded into the output loop. bias may be nil. The batch
-// dimension parallelizes across Threads() goroutines exactly like Conv2DInto,
-// and per-sample results are bit-identical for any thread count.
-func Conv2DFusedInto(out, x, weight, bias *Tensor, s ConvSpec, relu bool) {
-	Conv2DFusedColInto(out, x, weight, bias, s, relu, nil)
-}
-
-// Conv2DFusedColInto is Conv2DFusedInto with im2col retention: when colAll
-// is non-nil (len n*K*M, K = InC*KH*KW, M = OH*OW) every sample's im2col
-// packing is kept there instead of a transient scratch slab, so a training
-// step's backward pass can reuse the packing instead of re-lowering x —
-// the input is packed once per step, not once per pass.
+// Conv2DFusedColInto computes out = act(conv(x) + bias), the one
+// convolution forward: per sample, im2col + blocked GEMM with the bias
+// (may be nil) and optional ReLU folded into the output loop. With a
+// non-nil colAll (len n*K*M, K = InC*KH*KW, M = OH*OW) every sample's
+// im2col packing is kept there for Conv2DBackwardColInto, as a training
+// step needs; with nil colAll each worker packs into one pooled scratch
+// slab, as evaluation and serving do. The batch dimension parallelizes
+// across Threads() goroutines, and per-sample results are bit-identical
+// for any thread count and either colAll.
 func Conv2DFusedColInto(out, x, weight, bias *Tensor, s ConvSpec, relu bool, colAll []float64) {
 	n := x.Shape[0]
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
@@ -149,7 +144,10 @@ func conv2DFusedRange(out, x, weight *Tensor, bias []float64, s ConvSpec, oh, ow
 // parallel across Threads() goroutines; results are bit-identical for any
 // thread count.
 func LinearInto(dst, x, w, bias *Tensor, relu bool) *Tensor {
-	m, k, n := matMulDims(x, w)
+	if len(x.Shape) != 2 || len(w.Shape) != 2 || x.Shape[1] != w.Shape[0] {
+		panic(fmt.Sprintf("tensor: matmul shapes %v x %v", x.Shape, w.Shape))
+	}
+	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: linear dst %v for %v x %v", dst.Shape, x.Shape, w.Shape))
 	}

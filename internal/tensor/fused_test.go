@@ -28,7 +28,8 @@ func fusedConvCase(seed int64) (x, w, bias *Tensor, s ConvSpec) {
 // 7-loop reference: same convolution, bias added in the epilogue instead of
 // a prefill pass, ReLU folded into the output loop. Only the summation
 // order of the bias differs, so agreement is to ~ulp, far tighter than the
-// 1e-9 the training equivalence suite uses.
+// 1e-9 the training equivalence suite uses. The scratch and retained-col
+// packings must agree bit for bit.
 func TestConv2DFusedMatchesNaive(t *testing.T) {
 	for _, relu := range []bool{false, true} {
 		x, w, bias, s := fusedConvCase(7)
@@ -41,9 +42,14 @@ func TestConv2DFusedMatchesNaive(t *testing.T) {
 			}
 		}
 		got := New(want.Shape...)
-		Conv2DFusedInto(got, x, w, bias, s, relu)
+		Conv2DFusedColInto(got, x, w, bias, s, relu, nil)
 		if d := got.MaxAbsDiff(want); d > 1e-11 {
 			t.Errorf("relu=%v: fused conv differs from naive by %g", relu, d)
+		}
+		retained := New(want.Shape...)
+		Conv2DFusedColInto(retained, x, w, bias, s, relu, make([]float64, 3*270*576))
+		if i := sameBits(retained.Data, got.Data); i >= 0 {
+			t.Errorf("relu=%v: retained-col conv differs from scratch at %d", relu, i)
 		}
 	}
 }
@@ -53,7 +59,7 @@ func TestConv2DFusedNilBias(t *testing.T) {
 	x, w, _, s := fusedConvCase(8)
 	want := Conv2DNaive(x, w, nil, s)
 	got := New(want.Shape...)
-	Conv2DFusedInto(got, x, w, nil, s, false)
+	Conv2DFusedColInto(got, x, w, nil, s, false, nil)
 	if d := got.MaxAbsDiff(want); d > 1e-11 {
 		t.Errorf("fused conv (nil bias) differs from naive by %g", d)
 	}
@@ -66,11 +72,11 @@ func TestConv2DFusedDeterministicAcrossThreads(t *testing.T) {
 	x, w, bias, s := fusedConvCase(9)
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
 	ref := New(x.Shape[0], s.OutC, oh, ow)
-	Conv2DFusedInto(ref, x, w, bias, s, true)
+	Conv2DFusedColInto(ref, x, w, bias, s, true, nil)
 	for _, threads := range []int{2, 5} {
 		SetThreads(threads)
 		got := New(ref.Shape...)
-		Conv2DFusedInto(got, x, w, bias, s, true)
+		Conv2DFusedColInto(got, x, w, bias, s, true, nil)
 		for i := range ref.Data {
 			if ref.Data[i] != got.Data[i] {
 				t.Fatalf("threads=%d: fused conv not bit-identical at %d", threads, i)
@@ -133,7 +139,7 @@ func TestMatMulPackedF16ExactContract(t *testing.T) {
 	// apply the same epilogue ops in the same order.
 	bq := b.Clone()
 	f16.QuantizeSlice(bq.Data)
-	want := MatMul(a, bq)
+	want := matMul(a, bq)
 	for i := 0; i < m; i++ {
 		row := want.Data[i*n : (i+1)*n]
 		for j := range row {
@@ -231,8 +237,8 @@ func TestLinearIntoDeterministicAcrossThreads(t *testing.T) {
 // the reference activation (no negative zeros escaping into fp16 encodes).
 func TestConv2DFusedReLUZeros(t *testing.T) {
 	x, w, bias, s := fusedConvCase(15)
-	got := Conv2D(x, w, bias, s) // shape donor
-	Conv2DFusedInto(got, x, w, bias, s, true)
+	got := New(3, 7, 24, 24)
+	Conv2DFusedColInto(got, x, w, bias, s, true, nil)
 	for i, v := range got.Data {
 		if v < 0 {
 			t.Fatalf("relu output %g at %d", v, i)

@@ -155,32 +155,6 @@ func gemmTNAcc(iLo, iHi, k, n int, a []float64, lda int, b []float64, ldb int, c
 	}
 }
 
-// matMulDims validates a 2-D matrix product and returns (m, k, n).
-func matMulDims(a, b *Tensor) (int, int, int) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shapes %v x %v", a.Shape, b.Shape))
-	}
-	return a.Shape[0], a.Shape[1], b.Shape[1]
-}
-
-// MatMulInto computes dst = a[m,k] x b[k,n] into a preallocated dst[m,n],
-// reusing dst's storage (zero heap allocations in steady state). Row panels
-// of dst are computed in parallel across Threads() goroutines.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulDims(a, b)
-	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: matmul dst %v for %v x %v", dst.Shape, a.Shape, b.Shape))
-	}
-	if Threads() <= 1 || m == 1 {
-		gemmFused(m, k, n, a.Data, k, b.Data, n, dst.Data, n, nil, nil, false)
-		return dst
-	}
-	parallelFor(m, func(lo, hi int) {
-		gemmFused(hi-lo, k, n, a.Data[lo*k:], k, b.Data, n, dst.Data[lo*n:], n, nil, nil, false)
-	})
-	return dst
-}
-
 // AddMatMulNT accumulates dst[m,n] += a[m,k] x b[n,k]^T.
 func AddMatMulNT(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]

@@ -271,7 +271,7 @@ func TestPanelWidthAndThreadsBitIdentical(t *testing.T) {
 		got := map[string][]float64{}
 
 		dst := New(m, n)
-		MatMulInto(dst, a, w)
+		LinearInto(dst, a, w, nil, false)
 		got["mm"] = append([]float64(nil), dst.Data...)
 
 		LinearInto(dst, a, w, bias, true)
@@ -316,9 +316,11 @@ func TestPanelWidthAndThreadsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAutotunedPathSteadyStateAllocs pins the fixed configuration's
-// kernels (forward GEMM and the fp16 pack/multiply cycle the fp16 training
-// path runs per step) at zero steady-state allocations.
+// TestAutotunedPathSteadyStateAllocs pins the fixed configuration's GEMM
+// kernels (the bias-free forward product and the fp16 pack/multiply cycle
+// the fp16 training path runs per step) at zero steady-state allocations.
+// TestKernelSteadyStateAllocs pins the conv passes and the other float64
+// GEMM entry points.
 func TestAutotunedPathSteadyStateAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -331,8 +333,8 @@ func TestAutotunedPathSteadyStateAllocs(t *testing.T) {
 	randFill(rng, a.Data)
 	randFill(rng, w.Data)
 	dst := New(32, 64)
-	if n := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, w) }); n != 0 {
-		t.Errorf("MatMulInto allocates %v/op, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { LinearInto(dst, a, w, nil, false) }); n != 0 {
+		t.Errorf("bias-free LinearInto allocates %v/op, want 0", n)
 	}
 
 	pb := PackF16(w)

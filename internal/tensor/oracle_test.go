@@ -11,8 +11,8 @@ import (
 // replaced, kept verbatim (renamed). The Test...MatchesOracle tests below
 // require the new kernels to reproduce them bit for bit.
 
-// im2colRawOracle is the per-element im2col: one bounds test per cell.
-func im2colRawOracle(col, xs []float64, h, w int, s ConvSpec, oh, ow int) {
+// im2colOracle is the per-element im2col: one bounds test per cell.
+func im2colOracle(col, xs []float64, h, w int, s ConvSpec, oh, ow int) {
 	m := oh * ow
 	p := 0
 	for ic := 0; ic < s.InC; ic++ {
@@ -101,7 +101,7 @@ func conv2DBackwardGEMMRangeOracle(dx, x, weight, dy *Tensor, dwPart, colAll []f
 			col = colAll[ni*k*m : (ni+1)*k*m]
 		} else {
 			col = colSlab.f
-			im2colRawOracle(col, x.Data[ni*s.InC*h*w:(ni+1)*s.InC*h*w], h, w, s, oh, ow)
+			im2colOracle(col, x.Data[ni*s.InC*h*w:(ni+1)*s.InC*h*w], h, w, s, oh, ow)
 		}
 		dyn := dy.Data[ni*s.OutC*m : (ni+1)*s.OutC*m]
 		// dw partial: dy_n [OutC, M] x col_n^T [M, K].
@@ -313,8 +313,8 @@ func TestIm2colMatchesOracle(t *testing.T) {
 		for i := range got {
 			got[i], want[i] = math.NaN(), math.Inf(1) // every cell must be written
 		}
-		im2colRawOracle(want, xs, h, w, s, oh, ow)
-		im2colRaw(got, xs, h, w, s, oh, ow)
+		im2colOracle(want, xs, h, w, s, oh, ow)
+		im2colSample(got, FromSlice(xs, 1, s.InC, h, w), 0, s, oh, ow)
 		if i := sameBits(got, want); i >= 0 {
 			t.Fatalf("trial %d (%+v, %dx%d): col[%d] = %v, oracle %v", trial, s, h, w, i, got[i], want[i])
 		}
@@ -347,10 +347,10 @@ func TestCol2imMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestConv2DBackwardMatchesOracle: the channel-partitioned backward
-// reproduces the per-sample-partial backward's dx, dW and db bits at 1, 2
-// and 3 threads, through both the retained-col and the no-col entry
-// points. dW and db start non-zero, which pins the += contract.
+// TestConv2DBackwardMatchesOracle: the channel-partitioned backward,
+// reading the forward's retained col, reproduces the per-sample-partial
+// backward's dx, dW and db bits at 1, 2 and 3 threads. dW and db start
+// non-zero, which pins the += contract.
 func TestConv2DBackwardMatchesOracle(t *testing.T) {
 	defer SetThreads(SetThreads(1))
 	rng := rand.New(rand.NewSource(203))
@@ -374,22 +374,16 @@ func TestConv2DBackwardMatchesOracle(t *testing.T) {
 		conv2DBackwardGEMMOracle(wantDx, wantDw, wantDb, x, weight, dy, nil, s)
 		for _, threads := range []int{1, 2, 3} {
 			SetThreads(threads)
-			for _, retained := range []bool{true, false} {
-				dx, dw, db := New(x.Shape...), dw0.Clone(), db0.Clone()
-				dx.Fill(math.NaN()) // must be fully overwritten
-				if retained {
-					Conv2DBackwardColInto(dx, dw, db, col, x, weight, dy, s)
-				} else {
-					Conv2DBackwardInto(dx, dw, db, x, weight, dy, s)
-				}
-				for _, c := range []struct {
-					name      string
-					got, want *Tensor
-				}{{"dx", dx, wantDx}, {"dw", dw, wantDw}, {"db", db, wantDb}} {
-					if i := sameBits(c.got.Data, c.want.Data); i >= 0 {
-						t.Fatalf("trial %d (%+v, n=%d, threads=%d, retained col %v): %s[%d] = %v, oracle %v",
-							trial, s, n, threads, retained, c.name, i, c.got.Data[i], c.want.Data[i])
-					}
+			dx, dw, db := New(x.Shape...), dw0.Clone(), db0.Clone()
+			dx.Fill(math.NaN()) // must be fully overwritten
+			Conv2DBackwardColInto(dx, dw, db, col, x, weight, dy, s)
+			for _, c := range []struct {
+				name      string
+				got, want *Tensor
+			}{{"dx", dx, wantDx}, {"dw", dw, wantDw}, {"db", db, wantDb}} {
+				if i := sameBits(c.got.Data, c.want.Data); i >= 0 {
+					t.Fatalf("trial %d (%+v, n=%d, threads=%d): %s[%d] = %v, oracle %v",
+						trial, s, n, threads, c.name, i, c.got.Data[i], c.want.Data[i])
 				}
 			}
 		}

@@ -99,7 +99,7 @@ func (pb *PackedF16) Bytes() int64 { return int64(len(pb.panels)) * 2 }
 // panel runs through the same register micro-kernel as gemmFused (first
 // depth panel overwrites, later panels continue the chain) — so as long as
 // pack-time kc matches the live blocking's KC, the result is exactly
-// MatMulInto against the fp16-quantized weights: deterministic, and
+// LinearInto against the fp16-quantized weights: deterministic, and
 // independent of the batch size m a row is computed under.
 func MatMulPackedF16(m int, a []float64, pb *PackedF16, c []float64, bias []float64, relu bool, out []f16.F16) {
 	k, n := pb.K, pb.N

@@ -94,7 +94,7 @@ func TestConvKnownValues(t *testing.T) {
 	}, 1, 1, 3, 3)
 	w := FromSlice([]float64{1, 1, 1, 1}, 1, 1, 2, 2)
 	s := ConvSpec{InC: 1, OutC: 1, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
-	y := Conv2D(x, w, nil, s)
+	y := conv2D(x, w, nil, s)
 	want := []float64{12, 16, 24, 28}
 	for i, v := range want {
 		if y.Data[i] != v {
@@ -108,7 +108,7 @@ func TestConvPaddingAndStride(t *testing.T) {
 	x.Fill(1)
 	w := FromSlice([]float64{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1, 1, 3, 3)
 	s := ConvSpec{InC: 1, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
-	y := Conv2D(x, w, nil, s)
+	y := conv2D(x, w, nil, s)
 	if y.Shape[2] != 2 || y.Shape[3] != 2 {
 		t.Fatalf("out shape %v", y.Shape)
 	}
@@ -118,31 +118,6 @@ func TestConvPaddingAndStride(t *testing.T) {
 	}
 	if y.Data[3] != 9 {
 		t.Errorf("center = %f, want 9", y.Data[3])
-	}
-}
-
-func TestIm2colGEMMMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		n := rng.Intn(3) + 1
-		inC := rng.Intn(3) + 1
-		outC := rng.Intn(4) + 1
-		h := rng.Intn(6) + 4
-		k := []int{1, 3}[rng.Intn(2)]
-		stride := rng.Intn(2) + 1
-		pad := rng.Intn(2)
-		s := ConvSpec{InC: inC, OutC: outC, KH: k, KW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
-		x := New(n, inC, h, h)
-		x.Randn(rng, 1)
-		w := New(outC, inC, k, k)
-		w.Randn(rng, 1)
-		b := New(outC)
-		b.Randn(rng, 1)
-		direct := Conv2D(x, w, b, s)
-		gemm := Conv2DIm2col(x, w, b, s)
-		if d := direct.MaxAbsDiff(gemm); d > 1e-9 {
-			t.Errorf("trial %d: im2col differs from direct by %g", trial, d)
-		}
 	}
 }
 
@@ -157,18 +132,18 @@ func TestConvGradientNumeric(t *testing.T) {
 	b.Randn(rng, 0.1)
 
 	// Loss = sum(conv output * r) for a fixed random r.
-	y := Conv2D(x, w, b, s)
+	y := conv2D(x, w, b, s)
 	r := New(y.Shape...)
 	r.Randn(rng, 1)
 	loss := func() float64 {
-		out := Conv2D(x, w, b, s)
+		out := conv2D(x, w, b, s)
 		var l float64
 		for i := range out.Data {
 			l += out.Data[i] * r.Data[i]
 		}
 		return l
 	}
-	dx, dw, db := Conv2DBackward(x, w, r, s)
+	dx, dw, db := conv2DBackward(x, w, r, s)
 
 	const eps = 1e-6
 	check := func(name string, tt *Tensor, grad *Tensor, samples int) {
@@ -244,7 +219,7 @@ func TestGlobalAvgPool(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
