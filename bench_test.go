@@ -496,7 +496,8 @@ func trainStepModel() (*nn.Model, *tensor.Tensor, []int, *nn.SGD) {
 }
 
 // BenchmarkTrainStepFull times one conventional training step (forward +
-// backward + SGD) of the small CNN at batch 32.
+// backward + SGD) of the small CNN at batch 32: the MBS executor's
+// one-span step, with the whole batch as one sub-batch.
 func BenchmarkTrainStepFull(b *testing.B) {
 	m, x, labels, opt := trainStepModel()
 	m.TrainStepFull(x, labels, opt) // warm buffers and scratch arena

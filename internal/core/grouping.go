@@ -2,25 +2,52 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
+
+// Span is a contiguous run of layers [First, Last], inclusive: the unit
+// GreedyMerge and OptimalPartition work on. planGroups partitions a
+// network's blocks with them, and nn.PlanMBS a model's layers.
+type Span struct{ First, Last int }
 
 // planGroups forms MBS1/MBS2 layer groups: initial groups of adjacent blocks
 // with equal minimal iteration counts, then merged to minimize modeled DRAM
 // traffic (greedily, per the paper, or optimally by dynamic programming).
 func planGroups(net *graph.Network, opts Options) ([]Group, error) {
 	groups := initialGroups(net, opts)
+	// Group costs depend only on the extent (the sub-batch follows from
+	// it), and both searches price the same extents many times.
+	memo := make(map[Span]int64)
+	cost := func(first, last int) int64 {
+		v, ok := memo[Span{first, last}]
+		if !ok {
+			v = groupDRAMCost(net, opts, groupOver(net, opts, first, last))
+			memo[Span{first, last}] = v
+		}
+		return v
+	}
+	var spans []Span
 	switch opts.Grouping {
 	case GroupNone:
 		return groups, nil
 	case GroupGreedy:
-		return greedyMerge(net, opts, groups), nil
+		spans = make([]Span, len(groups))
+		for i, g := range groups {
+			spans[i] = Span{g.First, g.Last}
+		}
+		spans = GreedyMerge(spans, cost)
 	case GroupOptimal:
-		return optimalPartition(net, opts), nil
+		spans = OptimalPartition(len(net.Blocks), cost)
 	default:
 		return nil, fmt.Errorf("core: unknown grouping mode %v", opts.Grouping)
 	}
+	groups = make([]Group, len(spans))
+	for i, sp := range spans {
+		groups[i] = groupOver(net, opts, sp.First, sp.Last)
+	}
+	return groups, nil
 }
 
 // groupOver builds the group covering blocks [first,last] with the largest
@@ -70,76 +97,56 @@ func groupDRAMCost(net *graph.Network, opts Options, g Group) int64 {
 	return total
 }
 
-// costCache memoizes group costs keyed by extent (sub-batch is a function of
-// extent).
-type costCache struct {
-	net  *graph.Network
-	opts Options
-	m    map[[2]int]int64
-}
-
-func newCostCache(net *graph.Network, opts Options) *costCache {
-	return &costCache{net: net, opts: opts, m: make(map[[2]int]int64)}
-}
-
-func (c *costCache) cost(first, last int) int64 {
-	key := [2]int{first, last}
-	if v, ok := c.m[key]; ok {
-		return v
-	}
-	v := groupDRAMCost(c.net, c.opts, groupOver(c.net, c.opts, first, last))
-	c.m[key] = v
-	return v
-}
-
-// greedyMerge repeatedly merges the adjacent group pair with the largest
-// traffic reduction until no merge helps. Merging reduces the sub-batch of
-// the less constrained group (more weight/gradient re-reads) in exchange for
-// keeping the boundary tensor on chip (Section 3, "Layer Grouping Optimizes
-// Reuse").
-func greedyMerge(net *graph.Network, opts Options, groups []Group) []Group {
-	cache := newCostCache(net, opts)
+// GreedyMerge repeatedly merges the adjacent pair of spans whose merge
+// lowers the total cost the most, the leftmost pair on a tie, until no
+// merge lowers it, and returns the merged spans (spans itself is left
+// alone). cost(first, last) prices the span [first, last]; a partition
+// costs the sum of its spans. Under core's DRAM-traffic cost, merging
+// reduces the sub-batch of the less constrained group (more
+// weight/gradient re-reads) in exchange for keeping the boundary tensor on
+// chip (Section 3, "Layer Grouping Optimizes Reuse"). Every round prices
+// each adjacent pair again, so an expensive cost should be memoized.
+func GreedyMerge(spans []Span, cost func(first, last int) int64) []Span {
+	spans = slices.Clone(spans)
 	for {
-		bestIdx, bestDelta := -1, int64(0)
-		for i := 0; i+1 < len(groups); i++ {
-			a, b := groups[i], groups[i+1]
-			merged := cache.cost(a.First, b.Last)
-			split := cache.cost(a.First, a.Last) + cache.cost(b.First, b.Last)
+		best, bestDelta := -1, int64(0)
+		for i := 0; i+1 < len(spans); i++ {
+			a, b := spans[i], spans[i+1]
+			merged := cost(a.First, b.Last)
+			split := cost(a.First, a.Last) + cost(b.First, b.Last)
 			if delta := merged - split; delta < bestDelta {
-				bestDelta, bestIdx = delta, i
+				best, bestDelta = i, delta
 			}
 		}
-		if bestIdx < 0 {
-			return groups
+		if best < 0 {
+			return spans
 		}
-		a, b := groups[bestIdx], groups[bestIdx+1]
-		merged := groupOver(net, opts, a.First, b.Last)
-		groups = append(groups[:bestIdx], append([]Group{merged}, groups[bestIdx+2:]...)...)
+		spans[best].Last = spans[best+1].Last
+		spans = slices.Delete(spans, best+1, best+2)
 	}
 }
 
-// optimalPartition finds the contiguous block partition with minimal modeled
-// DRAM traffic by dynamic programming over prefixes. This is equivalent to
-// the paper's exhaustive grouping search (footnote 1), which improved on the
-// greedy optimizer by roughly 1%.
-func optimalPartition(net *graph.Network, opts Options) []Group {
-	n := len(net.Blocks)
-	cache := newCostCache(net, opts)
+// OptimalPartition returns the partition of layers [0, n) into contiguous
+// spans with the least total cost, by dynamic programming over prefixes.
+// This is equivalent to the paper's exhaustive grouping search (footnote
+// 1), which improved on the greedy optimizer by roughly 1%.
+func OptimalPartition(n int, cost func(first, last int) int64) []Span {
 	const inf = int64(1) << 62
-	best := make([]int64, n+1) // best[i] = min cost of blocks [0,i)
-	cut := make([]int, n+1)    // cut[i] = start of the last group in the optimum
+	best := make([]int64, n+1) // best[i] = min cost of layers [0,i)
+	cut := make([]int, n+1)    // cut[i] = start of the last span in the optimum
 	for i := 1; i <= n; i++ {
 		best[i] = inf
 		for j := 0; j < i; j++ {
-			if c := best[j] + cache.cost(j, i-1); c < best[i] {
+			if c := best[j] + cost(j, i-1); c < best[i] {
 				best[i] = c
 				cut[i] = j
 			}
 		}
 	}
-	var groups []Group
+	var spans []Span
 	for i := n; i > 0; i = cut[i] {
-		groups = append([]Group{groupOver(net, opts, cut[i], i-1)}, groups...)
+		spans = append(spans, Span{cut[i], i - 1})
 	}
-	return groups
+	slices.Reverse(spans)
+	return spans
 }

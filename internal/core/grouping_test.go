@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/models"
@@ -113,6 +115,129 @@ func TestIterationsDecreaseWithDepthInMBSGroups(t *testing.T) {
 				t.Errorf("%s: group %d iterations grew (%d -> %d)",
 					name, i, s.Groups[i-1].Iterations, s.Groups[i].Iterations)
 			}
+		}
+	}
+}
+
+// syntheticCost prices every span [first, last] of n layers from a seeded
+// table; spans longer than one layer are priced out (above any partition
+// of singletons) with probability pOut.
+func syntheticCost(rng *rand.Rand, n int, pOut float64) func(first, last int) int64 {
+	const pricedOut = int64(1) << 40
+	table := make([][]int64, n)
+	for i := range table {
+		table[i] = make([]int64, n)
+		for j := i; j < n; j++ {
+			table[i][j] = 1 + rng.Int63n(100)*int64(j-i+1)/2
+			if j > i && rng.Float64() < pOut {
+				table[i][j] = pricedOut
+			}
+		}
+	}
+	return func(first, last int) int64 { return table[first][last] }
+}
+
+func singletons(n int) []Span {
+	spans := make([]Span, n)
+	for i := range spans {
+		spans[i] = Span{i, i}
+	}
+	return spans
+}
+
+// partitionCost checks that spans partition [0, n) in order and returns
+// their total cost.
+func partitionCost(t *testing.T, spans []Span, n int, cost func(first, last int) int64) int64 {
+	t.Helper()
+	next, total := 0, int64(0)
+	for _, s := range spans {
+		if s.First != next || s.Last < s.First {
+			t.Fatalf("spans %v do not partition [0, %d)", spans, n)
+		}
+		next = s.Last + 1
+		total += cost(s.First, s.Last)
+	}
+	if next != n {
+		t.Fatalf("spans %v do not partition [0, %d)", spans, n)
+	}
+	return total
+}
+
+// TestPartitionPricedOutSpanNeverFormed: a span priced above the groups it
+// would replace is never formed by either search, whatever else the cost
+// favours, and the greedy merge leaves no adjacent pair whose merge would
+// lower the total.
+func TestPartitionPricedOutSpanNeverFormed(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		cost := syntheticCost(rng, n, 0.3)
+		for name, spans := range map[string][]Span{
+			"greedy":  GreedyMerge(singletons(n), cost),
+			"optimal": OptimalPartition(n, cost),
+		} {
+			partitionCost(t, spans, n, cost)
+			for _, s := range spans {
+				if cost(s.First, s.Last) >= 1<<40 {
+					t.Fatalf("trial %d: %s formed priced-out span %v", trial, name, s)
+				}
+			}
+		}
+		greedy := GreedyMerge(singletons(n), cost)
+		for i := 0; i+1 < len(greedy); i++ {
+			a, b := greedy[i], greedy[i+1]
+			if cost(a.First, b.Last) < cost(a.First, a.Last)+cost(b.First, b.Last) {
+				t.Fatalf("trial %d: greedy stopped with a profitable merge of %v and %v", trial, a, b)
+			}
+		}
+	}
+}
+
+// TestPartitionTiesMergeLeftmost: among merges that lower the total
+// equally, the greedy merge takes the leftmost pair first. Spans of up to
+// two layers cost 1 and longer ones are priced out, so five layers group
+// as [0..1] [2..3] [4], not [0] [1..2] [3..4]; the caller's spans are left
+// alone.
+func TestPartitionTiesMergeLeftmost(t *testing.T) {
+	cost := func(first, last int) int64 {
+		if last-first < 2 {
+			return 1
+		}
+		return 3
+	}
+	in := singletons(5)
+	got := GreedyMerge(in, cost)
+	if want := []Span{{0, 1}, {2, 3}, {4, 4}}; !slices.Equal(got, want) {
+		t.Errorf("GreedyMerge = %v, want %v", got, want)
+	}
+	if !slices.Equal(in, singletons(5)) {
+		t.Errorf("GreedyMerge changed its input to %v", in)
+	}
+}
+
+// TestPartitionOptimalNeverAboveGreedy: the DP's total is never above the
+// greedy merge's, from singletons or from coarser starting spans, on
+// random costs.
+func TestPartitionOptimalNeverAboveGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		cost := syntheticCost(rng, n, 0.1)
+		// Odd trials start from coarser spans, as planGroups does from its
+		// initial groups.
+		var start []Span
+		for first := 0; first < n; {
+			last := first
+			if trial%2 == 1 {
+				last = min(n-1, first+rng.Intn(3))
+			}
+			start = append(start, Span{first, last})
+			first = last + 1
+		}
+		greedy := partitionCost(t, GreedyMerge(start, cost), n, cost)
+		optimal := partitionCost(t, OptimalPartition(n, cost), n, cost)
+		if optimal > greedy {
+			t.Fatalf("trial %d: optimal total %d above greedy %d", trial, optimal, greedy)
 		}
 	}
 }

@@ -117,8 +117,6 @@ func NewPredictor(m *Model, inShape []int, maxBatch int) (*Predictor, error) {
 			op, err = newBatchNormOp(l, shape, maxBatch, p.fuseReLU(layers, &i))
 		case *ReLU:
 			op = newReluOp(shape, maxBatch)
-		case *MaxPool2:
-			op, shape, err = newMaxPoolOp(l, shape, maxBatch)
 		case *GlobalAvgPool:
 			op, shape, err = newGapOp(shape, maxBatch)
 		default:
@@ -420,45 +418,6 @@ func (o *reluOp) forward(n int, in []f16.F16) []f16.F16 {
 		}
 		o.out[i] = h
 	}
-	return o.out
-}
-
-// --- max pool ----------------------------------------------------------------
-
-type maxPoolOp struct {
-	k, stride int
-	in, y     *batchViews
-	arg       []int
-	out       []f16.F16
-	per       int
-}
-
-func newMaxPoolOp(l *MaxPool2, shape []int, maxBatch int) (*maxPoolOp, []int, error) {
-	if len(shape) != 3 {
-		return nil, nil, fmt.Errorf("nn: max pool over per-sample shape %v", shape)
-	}
-	c, h, w := shape[0], shape[1], shape[2]
-	oh := (h-l.K)/l.Stride + 1
-	ow := (w-l.K)/l.Stride + 1
-	o := &maxPoolOp{
-		k: l.K, stride: l.Stride,
-		in:  newBatchViews(maxBatch, c, h, w),
-		y:   newBatchViews(maxBatch, c, oh, ow),
-		arg: make([]int, maxBatch*c*oh*ow),
-		per: c * oh * ow,
-	}
-	o.out = make([]f16.F16, maxBatch*o.per)
-	return o, []int{c, oh, ow}, nil
-}
-
-func (o *maxPoolOp) outPer() int { return o.per }
-
-func (o *maxPoolOp) forward(n int, in []f16.F16) []f16.F16 {
-	x := o.in.at(n)
-	f16.DecodeSlice(x.Data, in[:len(x.Data)])
-	y := o.y.at(n)
-	tensor.MaxPool2DInto(y, o.arg[:n*o.per], x, o.k, o.stride)
-	f16.EncodeSlice(o.out[:n*o.per], y.Data)
 	return o.out
 }
 

@@ -192,31 +192,6 @@ func TestPredictorRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// TestPredictorMaxPool covers the pooling op (no built model uses it, but
-// the compiler supports it for custom stacks).
-func TestPredictorMaxPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	m := &Model{Net: &Sequential{Layers: []Layer{
-		NewConv2D("c1", rng, 3, 8, 3, 1, 1),
-		&ReLU{},
-		&MaxPool2{K: 2, Stride: 2},
-		&GlobalAvgPool{},
-		NewLinear("fc", rng, 8, 5),
-	}}}
-	x := tensor.New(3, 3, 12, 12)
-	x.Randn(rng, 1)
-	ref := m.Net.Forward(x, false)
-	p, err := NewPredictor(m, []int{3, 12, 12}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := p.Forward(x)
-	tol := 0.02 * math.Max(1, maxAbs(ref))
-	if d := got.MaxAbsDiff(ref); d > tol {
-		t.Errorf("maxpool stack differs from reference by %g (tol %g)", d, tol)
-	}
-}
-
 // unsupportedLayer is a Layer the predictor cannot compile.
 type unsupportedLayer struct{}
 

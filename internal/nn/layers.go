@@ -1,7 +1,10 @@
 // Package nn is a small from-scratch CNN training engine with forward and
 // backward passes, batch/group normalization, SGD with momentum, and an MBS
 // trainer that serializes a mini-batch into sub-batches with gradient
-// accumulation. It exists to demonstrate numerically the paper's Section 3.1
+// accumulation. Every training step runs on the grouped MBS executor
+// (mbsexec.go), laid out by a planner that groups layers with the
+// simulator's partitioner (mbsplan.go); a full-batch step is its one-span
+// case. It exists to demonstrate numerically the paper's Section 3.1
 // claims: GN is compatible with MBS (sub-batch serialization computes
 // exactly the full-batch gradients) while BN is not, and GN+MBS trains as
 // well as BN (the Fig. 6 substitute experiment).
@@ -284,46 +287,6 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil.
 func (r *ReLU) Params() []*Param { return nil }
-
-// --- MaxPool ------------------------------------------------------------
-
-// MaxPool2 is k x k max pooling.
-type MaxPool2 struct {
-	K, Stride int
-	arg       []int // training argmax map (consumed by Backward)
-	evalArg   []int // scratch argmax map for train=false forwards
-	inShape   []int
-	out       outBufs
-	dx        *tensor.Tensor
-}
-
-// Forward pools and records argmax positions.
-func (p *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	out := ensure4(p.out.sel(train), n, c, oh, ow)
-	arg := &p.evalArg
-	if train {
-		arg = &p.arg
-		p.inShape = append(p.inShape[:0], x.Shape...)
-	}
-	if len(*arg) != out.Len() {
-		*arg = make([]int, out.Len())
-	}
-	tensor.MaxPool2DInto(out, *arg, x, p.K, p.Stride)
-	return out
-}
-
-// Backward scatters gradients to the argmax positions.
-func (p *MaxPool2) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := ensure4(&p.dx, p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3])
-	tensor.MaxPool2DBackwardInto(dx, dy, p.arg)
-	return dx
-}
-
-// Params returns nil.
-func (p *MaxPool2) Params() []*Param { return nil }
 
 // --- GlobalAvgPool --------------------------------------------------------
 

@@ -8,13 +8,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Grouped MBS executor: the one path TrainStepMBS/AccumulateGradsMBS run.
-// It serializes sub-batches *through each planned layer group* instead of
-// through the whole net, so a group's weights, im2col panels and
-// activations stay cache-hot across all sub-batches (the paper's Sections
-// 3-4 executed for real). A single group covering the whole model is the
-// plain MBS flow: every sub-batch runs forward, loss and backward through
-// all layers before the next one starts.
+// Grouped MBS executor: the one path every training step runs,
+// TrainStepMBS/AccumulateGradsMBS and, as the one-span case with the whole
+// batch as one sub-batch (loss scale exactly 1), TrainStepFull/
+// AccumulateGradsFull. It serializes sub-batches *through each planned
+// layer group* instead of through the whole net, so a group's weights,
+// im2col panels and activations stay cache-hot across all sub-batches (the
+// paper's Sections 3-4 executed for real). A single group covering the
+// whole model is the plain MBS flow: every sub-batch runs forward, loss and
+// backward through all layers before the next one starts.
 //
 // Schedule (the paper's stash):
 //
@@ -22,9 +24,8 @@ import (
 //	                 group, writing its output rows in place into the
 //	                 full-batch boundary buffer and what its backward reads
 //	                 (im2col packings, xhat, a Linear's input, ReLU masks,
-//	                 norm statistics, argmax maps) into the span's own
-//	                 region of the group's stash (the paper's one deliberate
-//	                 DRAM trip).
+//	                 norm statistics) into the span's own region of the
+//	                 group's stash (the paper's one deliberate DRAM trip).
 //	last group:      per span, fused forward + loss + backward — gradients
 //	                 accumulate immediately.
 //	backward phase:  for g = G-2..0, per span: re-install the span's stash
@@ -168,9 +169,6 @@ func buildBundle(units []unitSpec, first, last int, arena []float64, sp *spanPla
 			switch {
 			case a.installB != nil:
 				f, buf := a.installB, auxSlice[bool](a.elems, &bd.auxBytes)
-				bd.installs = append(bd.installs, func() { f(buf) })
-			case a.installI != nil:
-				f, buf := a.installI, auxSlice[int](a.elems, &bd.auxBytes)
 				bd.installs = append(bd.installs, func() { f(buf) })
 			default:
 				f, buf := a.installF, auxSlice[float64](a.elems, &bd.auxBytes)

@@ -29,12 +29,21 @@ func minGroupBudget(t *testing.T, m *Model, shape []int, sub int) int64 {
 	return 0
 }
 
+// oracleLoss is the whole-net train-mode forward and loss the oracle runs
+// per sub-batch: it returns the mean loss and dLogits.
+func oracleLoss(m *Model, x *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	logits := m.Net.Forward(x, true)
+	grad := tensor.New(logits.Shape...)
+	return softmaxCrossEntropyInto(grad, logits, labels), grad
+}
+
 // mbsOracle is the layer-by-layer sub-batch loop the planned executor
 // replaced, kept as the bit-identity reference: every sub-batch runs
 // forward, loss and backward through the whole net before the next one.
-// Run it on a model no executor has run on: the views an installed plan
-// leaves in the layers may overlap across groups, while this loop keeps
-// every layer's buffers live at once.
+// With one sub-batch of the whole batch it is the full-batch reference of
+// TrainStepFull and AccumulateGradsFull. Run it on a model no executor has
+// run on: the views an installed plan leaves in the layers may overlap
+// across groups, while this loop keeps every layer's buffers live at once.
 func mbsOracle(m *Model, x *tensor.Tensor, labels []int, subBatch int) float64 {
 	n := x.Shape[0]
 	m.zeroGrads()
@@ -45,7 +54,7 @@ func mbsOracle(m *Model, x *tensor.Tensor, labels []int, subBatch int) float64 {
 			to = n
 		}
 		xs := tensor.SliceBatch(x, from, to)
-		subLoss, dlogits := m.Loss(xs, labels[from:to], true)
+		subLoss, dlogits := oracleLoss(m, xs, labels[from:to])
 		// The loss averages over the sub-batch; re-scale so that gradient
 		// contributions accumulate to the full-batch mean.
 		scale := float64(to-from) / float64(n)
@@ -119,6 +128,13 @@ func expectOracleStep(t *testing.T, m, oracle *Model, x *tensor.Tensor, labels [
 	t.Helper()
 	lossRef := mbsOracle(oracle, x, labels, sub)
 	expectOracleMatch(t, m, x, labels, sub, lossRef, grabGrads(oracle), ctx)
+	expectSameRunningStats(t, m, oracle, ctx)
+}
+
+// expectSameRunningStats requires every BatchNorm running statistic of m
+// to equal the oracle model's bit for bit.
+func expectSameRunningStats(t *testing.T, m, oracle *Model, ctx string) {
+	t.Helper()
 	want := batchNorms(oracle.Net)
 	for i, bn := range batchNorms(m.Net) {
 		for c := range bn.RunningMean {
@@ -205,6 +221,32 @@ func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
 				if len(seen) < 2 || !seen[1] {
 					t.Fatalf("%s: budget sweep produced group counts %v, want 1 and at least one more", ctx, seen)
 				}
+			}
+		}
+	}
+}
+
+// TestGroupedMBSFullBatchOneSpan: full-batch gradients are the executor's
+// one-span case. AccumulateGradsFull equals the oracle run as one sub-batch
+// of the whole batch (a whole-model forward, loss and Sequential.Backward)
+// bit for bit: the loss, every gradient and every BatchNorm running
+// statistic, on the GroupNorm, BatchNorm and residual models, over two
+// calls and at one and three threads.
+func TestGroupedMBSFullBatchOneSpan(t *testing.T) {
+	defer tensor.SetThreads(tensor.SetThreads(1))
+	for _, om := range append(oracleModels, oracleModel{"gn-resnet", gnResNet}) {
+		for _, threads := range []int{1, 3} {
+			tensor.SetThreads(threads)
+			oracle, x, labels := om.build(8)
+			m, _, _ := om.build(8)
+			for step := 0; step < 2; step++ {
+				ctx := fmt.Sprintf("%s threads=%d call %d", om.name, threads, step)
+				lossRef := mbsOracle(oracle, x, labels, len(labels))
+				if loss := m.AccumulateGradsFull(x, labels); loss != lossRef {
+					t.Fatalf("%s: loss %g != oracle %g", ctx, loss, lossRef)
+				}
+				expectBitIdentical(t, m, grabGrads(oracle), ctx)
+				expectSameRunningStats(t, m, oracle, ctx)
 			}
 		}
 	}
@@ -336,9 +378,9 @@ func TestMBSPlanBoundaryBytesCountsAllocation(t *testing.T) {
 }
 
 // TestGroupedMBSTrainStepInterleaving: full-batch steps between grouped MBS
-// steps resize the layers' persistent buffers, so the executor must
-// re-install its arena views — whole optimizer trajectories stay bit-equal
-// to the oracle's interleaving.
+// steps run on the single-group executor, which points the layers at its
+// own arena, so the installed plan must re-install its views — whole
+// optimizer trajectories stay bit-equal to the oracle's interleaving.
 func TestGroupedMBSTrainStepInterleaving(t *testing.T) {
 	a, x, labels := buildTestModel(35)
 	b, _, _ := buildTestModel(35)
@@ -359,7 +401,10 @@ func TestGroupedMBSTrainStepInterleaving(t *testing.T) {
 		if la != lb {
 			t.Fatalf("step %d: MBS losses diverged (%g vs %g)", step, la, lb)
 		}
-		if lf, lg := a.TrainStepFull(x, labels, optA), b.TrainStepFull(x, labels, optB); lf != lg {
+		lf := a.TrainStepFull(x, labels, optA)
+		lg := mbsOracle(b, x, labels, len(labels))
+		optB.Step(b.Params())
+		if lf != lg {
 			t.Fatalf("step %d: full losses diverged (%g vs %g)", step, lf, lg)
 		}
 	}

@@ -9,22 +9,25 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
 // MBS execution planner (Sections 3-4 of the paper, made real in the hot
 // path). The planner walks a compiled model at sub-batch size, computes every
 // layer's activation/im2col/gradient footprint, and partitions the layers
-// into contiguous groups whose training working set fits a cache budget. The
-// grouped executor (mbsexec.go) then serializes sub-batches through each
-// group — not through the whole net — so a group's weights, packed panels and
+// into contiguous groups whose training working set fits a cache budget,
+// with core.GreedyMerge, the partitioner the simulator's layer grouping
+// runs (groupUnits gives it a cost of one per group). The grouped executor
+// (mbsexec.go) then serializes sub-batches through each group — not
+// through the whole net — so a group's weights, packed panels and
 // activations stay cache-resident across all sub-batches, and only the
 // group-boundary activations (the paper's DRAM stash) are materialized at
 // full batch size.
 //
 // The same walk doubles as the arena layout: every buffer a layer would
 // otherwise allocate for itself (forward output, im2col packing, xhat, dx,
-// ReLU masks, pool argmax maps) is described by a spec with an install
+// ReLU masks, norm statistics) is described by a spec with an install
 // closure, and the executor points the layer's persistent-buffer fields at
 // planned offsets of one shared slab. Liveness is the classification baked
 // into the specs: `retained` buffers hold private offsets while a group
@@ -54,8 +57,8 @@ type MBSGroup struct {
 	// ArenaBytes is the planned float arena for the group: all retained
 	// buffers plus the two transient ping-pong slots, at full sub-batch size.
 	ArenaBytes int64
-	// AuxBytes covers non-float per-layer state (ReLU masks, argmax maps,
-	// norm statistics) the executor also pre-plans per sub-batch size.
+	// AuxBytes covers non-float per-layer state (ReLU masks, norm
+	// statistics) the executor also pre-plans per sub-batch size.
 	AuxBytes int64
 	// WeightBytes counts parameter data + gradient bytes of the group.
 	WeightBytes int64
@@ -121,23 +124,23 @@ type arenaBuf struct {
 }
 
 // inputRef re-points a layer's cached forward input (Conv2D.x,
-// MaxPool2.inShape, ...) at the tensor the layer reads in a sub-batch: the
-// unit's input (buf < 0) or bufs[buf], an earlier branch layer's output.
-// stash marks an input whose values the Backward reads (a Linear's), which
-// makes the feeding output a stash buffer.
+// GlobalAvgPool.inShape, ...) at the tensor the layer reads in a
+// sub-batch: the unit's input (buf < 0) or bufs[buf], an earlier branch
+// layer's output. stash marks an input whose values the Backward reads (a
+// Linear's), which makes the feeding output a stash buffer.
 type inputRef struct {
 	buf     int
 	stash   bool
 	install func(*tensor.Tensor)
 }
 
-// auxBuf describes non-float per-layer state (masks, argmax maps, norm
-// statistics) with a typed install closure.
+// auxBuf describes non-float per-layer state (ReLU masks, norm
+// statistics) with a typed install closure: installB for a mask,
+// installF otherwise.
 type auxBuf struct {
 	elems     int
 	elemBytes int
 	installB  func([]bool)
-	installI  func([]int)
 	installF  func([]float64)
 }
 
@@ -195,8 +198,6 @@ func unitLabel(l Layer) string {
 		return strings.TrimSuffix(v.Gamma.Name, ".gamma")
 	case *ReLU:
 		return "relu"
-	case *MaxPool2:
-		return "maxpool"
 	case *GlobalAvgPool:
 		return "gap"
 	case *Residual:
@@ -275,24 +276,6 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 		)
 		u.aux = append(u.aux, auxBuf{elems: prodShape(in), elemBytes: 1,
 			installB: func(b []bool) { r.mask = b }})
-
-	case *MaxPool2:
-		if err := need(4); err != nil {
-			return u, err
-		}
-		oh := (in[2]-v.K)/v.Stride + 1
-		ow := (in[3]-v.K)/v.Stride + 1
-		u.outShape = []int{n, in[1], oh, ow}
-		p := v
-		u.bufs = append(u.bufs,
-			arenaBuf{elems: prodShape(u.outShape), shape: u.outShape, retained: true,
-				installT: func(t *tensor.Tensor) { p.out.train = t }},
-			arenaBuf{elems: prodShape(in), shape: u.inShape, retained: retain(false),
-				installT: func(t *tensor.Tensor) { p.dx = t }},
-		)
-		u.aux = append(u.aux, auxBuf{elems: prodShape(u.outShape), elemBytes: 8,
-			installI: func(a []int) { p.arg = a }})
-		u.inputs = []inputRef{{buf: -1, install: func(t *tensor.Tensor) { p.inShape = append(p.inShape[:0], t.Shape...) }}}
 
 	case *GlobalAvgPool:
 		if err := need(4); err != nil {
@@ -498,12 +481,43 @@ func spanStash(units []unitSpec, first, last int) (floats int) {
 	return floats
 }
 
+// groupUnits partitions the units walked at sub-batch sub into groups
+// whose working sets fit the budget, with core.GreedyMerge from one group
+// per unit. A group that fits costs one and a span over the budget three
+// per unit, never less than the groups it would replace, so adjacent
+// groups merge, leftmost first, while their union fits, and no two
+// adjacent groups of the result fit merged. A working set can shrink as a
+// group grows (a narrow tensor at its boundary replaces a wide one), so a
+// unit over the budget on its own may still fit grouped with a neighbour;
+// one that fits no group makes the plan an error, as a degenerate,
+// silently thrashing schedule helps nobody.
+func groupUnits(units []unitSpec, sub int, budget int64) ([]MBSGroup, error) {
+	spans := make([]core.Span, len(units))
+	for i := range units {
+		spans[i] = core.Span{First: i, Last: i}
+	}
+	spans = core.GreedyMerge(spans, func(first, last int) int64 {
+		if measureGroup(units, first, last).WorkingSetBytes > budget {
+			return 3 * int64(last-first+1)
+		}
+		return 1
+	})
+	groups := make([]MBSGroup, len(spans))
+	for i, sp := range spans {
+		groups[i] = measureGroup(units, sp.First, sp.Last)
+		if ws := groups[i].WorkingSetBytes; ws > budget {
+			return nil, fmt.Errorf(
+				"nn: mbs plan: layer %s alone needs %s at sub-batch %d, over the %s cache budget — raise the budget or shrink the sub-batch",
+				units[sp.First].label, humanBytes(ws), sub, humanBytes(budget))
+		}
+	}
+	return groups, nil
+}
+
 // PlanMBS builds a grouped MBS execution plan for inputs of shape inShape
-// (batch dim included) and lays out its executor for this model. Greedy
-// contiguous fill: each group takes as many consecutive units as fit the
-// budget. A single unit over the budget is a hard error — a degenerate
-// silently-thrashing schedule helps nobody — and so is a model that does not
-// end in a [N, classes] head.
+// (batch dim included) and lays out its executor for this model. The
+// layers are grouped by groupUnits; a model that does not end in a
+// [N, classes] head is refused.
 func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 	if len(inShape) < 2 {
 		return nil, fmt.Errorf("nn: mbs plan: input shape %v needs a batch dim", inShape)
@@ -525,25 +539,9 @@ func (m *Model) PlanMBS(inShape []int, cfg MBSPlanConfig) (*MBSPlan, error) {
 	if head := units[len(units)-1].outShape; len(head) != 2 {
 		return nil, fmt.Errorf("nn: mbs plan: model must end in a [N, classes] head, got %v", head)
 	}
-
-	var groups []MBSGroup
-	for i := 0; i < len(units); {
-		g := measureGroup(units, i, i)
-		if g.WorkingSetBytes > budget {
-			return nil, fmt.Errorf(
-				"nn: mbs plan: layer %s alone needs %s at sub-batch %d, over the %s cache budget — raise the budget or shrink the sub-batch",
-				units[i].label, humanBytes(g.WorkingSetBytes), sub, humanBytes(budget))
-		}
-		j := i
-		for j+1 < len(units) {
-			c := measureGroup(units, i, j+1)
-			if c.WorkingSetBytes > budget {
-				break
-			}
-			j, g = j+1, c
-		}
-		groups = append(groups, g)
-		i = j + 1
+	groups, err := groupUnits(units, sub, budget)
+	if err != nil {
+		return nil, err
 	}
 	p := &MBSPlan{
 		Batch: batch, SubBatch: sub,

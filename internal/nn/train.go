@@ -68,11 +68,10 @@ func (o *SGD) Step(params []*Param) {
 type Model struct {
 	Net *Sequential
 
-	params   []*Param       // memoized: Sequential.Params allocates per call
-	lossGrad *tensor.Tensor // reused dLogits buffer
-	fp16     []*Linear      // layers on the fp16-weight path (see fp16.go)
-	mbs      *mbsExec       // executor of the installed plan (see mbsexec.go), nil = none
-	single   *mbsExec       // single-group executor of the last uncovered call
+	params []*Param  // memoized: Sequential.Params allocates per call
+	fp16   []*Linear // layers on the fp16-weight path (see fp16.go)
+	mbs    *mbsExec  // executor of the installed plan (see mbsexec.go), nil = none
+	single *mbsExec  // single-group executor of the last uncovered call
 }
 
 // Params returns the model's parameters, memoized — the layer structure is
@@ -85,13 +84,6 @@ func (m *Model) Params() []*Param {
 	return m.params
 }
 
-// Loss runs a forward pass and the loss on a full batch.
-func (m *Model) Loss(x *tensor.Tensor, labels []int, train bool) (float64, *tensor.Tensor) {
-	logits := m.Net.Forward(x, train)
-	grad := ensure2(&m.lossGrad, logits.Shape[0], logits.Shape[1])
-	return softmaxCrossEntropyInto(grad, logits, labels), grad
-}
-
 // zeroGrads clears the memoized parameter gradients.
 func (m *Model) zeroGrads() {
 	for _, p := range m.Params() {
@@ -101,14 +93,10 @@ func (m *Model) zeroGrads() {
 
 // TrainStepFull runs one conventional training step: the entire mini-batch
 // propagates through every layer together (the paper's baseline flow).
-// Returns the loss.
+// It is the MBS executor's one-span case, TrainStepMBS with the whole batch
+// as one sub-batch, whose loss scale is exactly 1. Returns the loss.
 func (m *Model) TrainStepFull(x *tensor.Tensor, labels []int, opt *SGD) float64 {
-	m.zeroGrads()
-	loss, dlogits := m.Loss(x, labels, true)
-	m.Net.Backward(dlogits)
-	opt.Step(m.Params())
-	m.refreshFP16()
-	return loss
+	return m.TrainStepMBS(x, labels, x.Shape[0], opt)
 }
 
 // TrainStepMBS runs one MBS training step: the mini-batch is serialized
@@ -129,12 +117,10 @@ func (m *Model) TrainStepMBS(x *tensor.Tensor, labels []int, subBatch int, opt *
 }
 
 // AccumulateGradsFull computes full-batch gradients without updating
-// parameters (test hook for the equivalence property).
+// parameters and returns the loss: AccumulateGradsMBS with the whole batch
+// as one sub-batch.
 func (m *Model) AccumulateGradsFull(x *tensor.Tensor, labels []int) float64 {
-	m.zeroGrads()
-	loss, dlogits := m.Loss(x, labels, true)
-	m.Net.Backward(dlogits)
-	return loss
+	return m.AccumulateGradsMBS(x, labels, x.Shape[0])
 }
 
 // AccumulateGradsMBS computes MBS-serialized gradients without updating

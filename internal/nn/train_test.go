@@ -60,7 +60,7 @@ func TestEvalBetweenForwardAndBackward(t *testing.T) {
 		xeDiff := tensor.New(5, 3, 16, 16) // different batch size: would reallocate it
 		xeDiff.Randn(rng, 1)
 		m.zeroGrads()
-		_, dlogits := m.Loss(x, labels, true)
+		_, dlogits := oracleLoss(m, x, labels)
 		if evalBetween {
 			m.Net.Forward(xeSame, false)
 			m.Net.Forward(xeDiff, false)

@@ -16,6 +16,17 @@ func (s ConvSpec) OutDims(h, w int) (oh, ow int) {
 	return (h+2*s.PadH-s.KH)/s.StrideH + 1, (w+2*s.PadW-s.KW)/s.StrideW + 1
 }
 
+// checkConvOperands panics unless x is [N, InC, H, W] and weight is
+// [OutC, InC, KH, KW] under s, so that no kernel worker reads past either.
+func checkConvOperands(x, weight *Tensor, s ConvSpec) {
+	if len(x.Shape) != 4 || x.Shape[1] != s.InC {
+		panic(fmt.Sprintf("tensor: conv x shape %v, want [N %d H W]", x.Shape, s.InC))
+	}
+	if !weight.hasShape(s.OutC, s.InC, s.KH, s.KW) {
+		panic(fmt.Sprintf("tensor: conv weight shape %v, want [%d %d %d %d]", weight.Shape, s.OutC, s.InC, s.KH, s.KW))
+	}
+}
+
 // Conv2DNaive is the direct 7-loop reference convolution — the oracle the
 // GEMM engine is validated against.
 func Conv2DNaive(x, weight, bias *Tensor, s ConvSpec) *Tensor {
@@ -62,9 +73,10 @@ func Conv2DNaive(x, weight, bias *Tensor, s ConvSpec) *Tensor {
 // a trainer's gradient buffers. The backward GEMMs read col directly, so x
 // is lowered once per step, not once per pass.
 func Conv2DBackwardColInto(dx, dwAcc, dbAcc *Tensor, col []float64, x, weight, dy *Tensor, s ConvSpec) {
+	checkConvOperands(x, weight, s)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := s.OutDims(h, w)
-	if dy.Shape[0] != n || dy.Shape[1] != s.OutC || dy.Shape[2] != oh || dy.Shape[3] != ow {
+	if !dy.hasShape(n, s.OutC, oh, ow) {
 		panic(fmt.Sprintf("tensor: dy shape %v mismatches conv output [%d %d %d %d]",
 			dy.Shape, n, s.OutC, oh, ow))
 	}
@@ -74,7 +86,7 @@ func Conv2DBackwardColInto(dx, dwAcc, dbAcc *Tensor, col []float64, x, weight, d
 	if !dwAcc.SameShape(weight) {
 		panic(fmt.Sprintf("tensor: dw shape %v, want %v", dwAcc.Shape, weight.Shape))
 	}
-	if len(dbAcc.Shape) != 1 || dbAcc.Shape[0] != s.OutC {
+	if !dbAcc.hasShape(s.OutC) {
 		panic(fmt.Sprintf("tensor: db shape %v, want [%d]", dbAcc.Shape, s.OutC))
 	}
 	if want := n * s.InC * s.KH * s.KW * oh * ow; len(col) != want {

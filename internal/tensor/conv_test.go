@@ -271,19 +271,32 @@ func TestMatMulBlockedLarge(t *testing.T) {
 	}
 }
 
-// TestConvEntryPointsRejectBadShapes: each conv entry point panics with
-// its message, before touching memory, on a buffer that does not fit the
-// convolution, and the backward refuses to run without the forward's col.
+// TestConvEntryPointsRejectBadShapes: each conv and GEMM entry point
+// panics with its message, before touching memory, on an operand or buffer
+// that does not fit the product (an x or weight that disagrees with the
+// ConvSpec, an operand of the wrong rank), and the conv backward refuses to
+// run without the forward's col.
 func TestConvEntryPointsRejectBadShapes(t *testing.T) {
 	s := ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x, w := New(2, 3, 5, 5), New(4, 3, 3, 3)
 	out, dy := New(2, 4, 5, 5), New(2, 4, 5, 5)
 	dx, dw, db := New(x.Shape...), New(w.Shape...), New(4)
 	col := make([]float64, 2*27*25)
+	a, b, dst := New(2, 3), New(4, 3), New(2, 4)
 	for _, c := range []struct {
 		name, want string
 		call       func()
 	}{
+		{"forward x channels", "tensor: conv x shape [2 4 5 5], want [N 3 H W]",
+			func() { Conv2DFusedColInto(out, New(2, 4, 5, 5), w, nil, s, false, col) }},
+		{"forward x rank", "tensor: conv x shape [2 3 5], want [N 3 H W]",
+			func() { Conv2DFusedColInto(out, New(2, 3, 5), w, nil, s, false, nil) }},
+		{"forward weight shape", "tensor: conv weight shape [4 2 3 3], want [4 3 3 3]",
+			func() { Conv2DFusedColInto(out, x, New(4, 2, 3, 3), nil, s, false, nil) }},
+		{"forward out rank", "tensor: conv out shape [2 4], want [2 4 5 5]",
+			func() { Conv2DFusedColInto(New(2, 4), x, w, nil, s, false, col) }},
+		{"forward bias shape", "tensor: conv bias shape [5], want [4]",
+			func() { Conv2DFusedColInto(out, x, w, New(5), s, false, col) }},
 		{"forward out shape", "tensor: conv out shape [2 4 5 4], want [2 4 5 5]",
 			func() { Conv2DFusedColInto(New(2, 4, 5, 4), x, w, nil, s, false, col) }},
 		{"forward col length", "tensor: conv col buffer 1349, want 1350",
@@ -300,6 +313,20 @@ func TestConvEntryPointsRejectBadShapes(t *testing.T) {
 			func() { Conv2DBackwardColInto(dx, New(4, 3, 3, 2), db, col, x, w, dy, s) }},
 		{"backward db shape", "tensor: db shape [5], want [4]",
 			func() { Conv2DBackwardColInto(dx, dw, New(5), col, x, w, dy, s) }},
+		{"backward x channels", "tensor: conv x shape [2 4 5 5], want [N 3 H W]",
+			func() { Conv2DBackwardColInto(dx, dw, db, col, New(2, 4, 5, 5), w, dy, s) }},
+		{"backward weight shape", "tensor: conv weight shape [4 2 3 3], want [4 3 3 3]",
+			func() { Conv2DBackwardColInto(dx, New(4, 2, 3, 3), db, col, x, New(4, 2, 3, 3), dy, s) }},
+		{"backward dy rank", "tensor: dy shape [2 4] mismatches conv output [2 4 5 5]",
+			func() { Conv2DBackwardColInto(dx, dw, db, col, x, w, New(2, 4), s) }},
+		{"matmulNT a rank", "tensor: matmulNT shapes [6] x [4 3]^T -> [2 4]",
+			func() { AddMatMulNT(dst, New(6), b) }},
+		{"matmulNT b rank", "tensor: matmulNT shapes [2 3] x [12]^T -> [2 4]",
+			func() { AddMatMulNT(dst, a, New(12)) }},
+		{"matmulTN a rank", "tensor: matmulTN shapes [6]^T x [4 3] -> [2 4]",
+			func() { AddMatMulTN(dst, New(6), b) }},
+		{"matmulTN dst shape", "tensor: matmulTN shapes [4 2]^T x [4 3] -> [2 4]",
+			func() { AddMatMulTN(dst, New(4, 2), b) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {

@@ -92,10 +92,14 @@ func gemmFused(m, k, n int, a []float64, lda int, b []float64, ldb int, c []floa
 // across Threads() goroutines, and per-sample results are bit-identical
 // for any thread count and either colAll.
 func Conv2DFusedColInto(out, x, weight, bias *Tensor, s ConvSpec, relu bool, colAll []float64) {
+	checkConvOperands(x, weight, s)
 	n := x.Shape[0]
 	oh, ow := s.OutDims(x.Shape[2], x.Shape[3])
-	if out.Shape[0] != n || out.Shape[1] != s.OutC || out.Shape[2] != oh || out.Shape[3] != ow {
+	if !out.hasShape(n, s.OutC, oh, ow) {
 		panic(fmt.Sprintf("tensor: conv out shape %v, want [%d %d %d %d]", out.Shape, n, s.OutC, oh, ow))
+	}
+	if bias != nil && !bias.hasShape(s.OutC) {
+		panic(fmt.Sprintf("tensor: conv bias shape %v, want [%d]", bias.Shape, s.OutC))
 	}
 	if colAll != nil {
 		if want := n * s.InC * s.KH * s.KW * oh * ow; len(colAll) != want {
@@ -148,12 +152,12 @@ func LinearInto(dst, x, w, bias *Tensor, relu bool) *Tensor {
 		panic(fmt.Sprintf("tensor: matmul shapes %v x %v", x.Shape, w.Shape))
 	}
 	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
-	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+	if !dst.hasShape(m, n) {
 		panic(fmt.Sprintf("tensor: linear dst %v for %v x %v", dst.Shape, x.Shape, w.Shape))
 	}
 	var bs []float64
 	if bias != nil {
-		if len(bias.Shape) != 1 || bias.Shape[0] != n {
+		if !bias.hasShape(n) {
 			panic(fmt.Sprintf("tensor: linear bias %v, want [%d]", bias.Shape, n))
 		}
 		bs = bias.Data

@@ -157,12 +157,10 @@ func gemmTNAcc(iLo, iHi, k, n int, a []float64, lda int, b []float64, ldb int, c
 
 // AddMatMulNT accumulates dst[m,n] += a[m,k] x b[n,k]^T.
 func AddMatMulNT(dst, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || b.Shape[1] != k ||
-		len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || b.Shape[1] != a.Shape[1] || !dst.hasShape(a.Shape[0], b.Shape[0]) {
 		panic(fmt.Sprintf("tensor: matmulNT shapes %v x %v^T -> %v", a.Shape, b.Shape, dst.Shape))
 	}
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	if Threads() <= 1 || m == 1 {
 		gemmNTAcc(m, k, n, a.Data, k, b.Data, k, dst.Data, n)
 		return
@@ -174,12 +172,10 @@ func AddMatMulNT(dst, a, b *Tensor) {
 
 // AddMatMulTN accumulates dst[m,n] += a[k,m]^T x b[k,n].
 func AddMatMulTN(dst, a, b *Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || b.Shape[0] != k ||
-		len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || b.Shape[0] != a.Shape[0] || !dst.hasShape(a.Shape[1], b.Shape[1]) {
 		panic(fmt.Sprintf("tensor: matmulTN shapes %v^T x %v -> %v", a.Shape, b.Shape, dst.Shape))
 	}
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	if Threads() <= 1 || m == 1 {
 		gemmTNAcc(0, m, k, n, a.Data, m, b.Data, n, dst.Data, n)
 		return

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major array with an explicit shape.
@@ -82,17 +83,10 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 }
 
 // SameShape reports whether two tensors have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tensor) SameShape(o *Tensor) bool { return t.hasShape(o.Shape...) }
+
+// hasShape reports whether t's shape is exactly dims.
+func (t *Tensor) hasShape(dims ...int) bool { return slices.Equal(t.Shape, dims) }
 
 // AddInPlace accumulates o into t.
 func (t *Tensor) AddInPlace(o *Tensor) {

@@ -166,38 +166,6 @@ func TestConvGradientNumeric(t *testing.T) {
 	check("db", b, db, 3)
 }
 
-func TestMaxPoolForwardBackward(t *testing.T) {
-	x := FromSlice([]float64{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	y := New(1, 1, 2, 2)
-	arg := make([]int, y.Len())
-	MaxPool2DInto(y, arg, x, 2, 2)
-	want := []float64{6, 8, 14, 16}
-	for i, v := range want {
-		if y.Data[i] != v {
-			t.Errorf("pool[%d] = %f, want %f", i, y.Data[i], v)
-		}
-	}
-	dy := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	dx := New(x.Shape...)
-	dx.Fill(99) // must be fully overwritten
-	MaxPool2DBackwardInto(dx, dy, arg)
-	if dx.At4(0, 0, 1, 1) != 1 || dx.At4(0, 0, 3, 3) != 4 {
-		t.Errorf("scatter wrong: %v", dx.Data)
-	}
-	var sum float64
-	for _, v := range dx.Data {
-		sum += v
-	}
-	if sum != 10 {
-		t.Errorf("gradient mass = %f, want 10", sum)
-	}
-}
-
 func TestGlobalAvgPool(t *testing.T) {
 	x := New(1, 2, 2, 2)
 	for i := range x.Data {
