@@ -5,6 +5,17 @@
 // feature/weight traffic is 2 bytes per element while accumulation error
 // stays at fp32 level, and lets tests quantify the quantization error of
 // the 16b output write-back the accumulation buffer performs.
+//
+// EncodeSlice and DecodeSlice are the bulk conversions the serving path
+// runs between every pair of ops. On amd64 CPUs with F16C, AVX and
+// OS-saved YMM state (checked once at startup via CPUID) they convert four
+// elements per instruction pair in f16_amd64.s: encode narrows float64 to
+// float32 and then to half with round-to-nearest-even, the same double
+// rounding FromFloat64 performs, and decode widens half to float32 to
+// float64. A four-element chunk holding a NaN goes through FromFloat64 so
+// NaNs keep the canonical sign|0x7E00 encoding. Elsewhere the same
+// functions run the scalar loop over FromFloat64 and Float64; both paths
+// produce identical bits for every input.
 package f16
 
 import (
@@ -73,8 +84,10 @@ func FromFloat32(f float32) F16 {
 		}
 		return F16(sign | halfExp | uint16(shifted))
 	}
-	if e >= -24 {
-		// Subnormal half: implicit leading 1 becomes explicit.
+	if e >= -25 {
+		// Subnormal half: implicit leading 1 becomes explicit. At e = -25
+		// every magnitude in (2^-25, 2^-24) rounds up to the smallest
+		// subnormal, and 2^-25 itself ties to even, giving zero.
 		full := frac | 0x800000
 		shift := uint32(-e - 14 + 13)
 		shifted := full >> shift
@@ -145,10 +158,17 @@ func QuantizeSlice(xs []float64) float64 {
 }
 
 // EncodeSlice rounds src into dst (which must be at least as long) as half
-// precision — the layout a 16-bit feature write-back produces.
+// precision — the layout a 16-bit feature write-back produces. Each element
+// gets exactly FromFloat64's bits (see the package comment for the F16C
+// path).
 func EncodeSlice(dst []F16, src []float64) {
-	for i, v := range src {
-		dst[i] = FromFloat64(v)
+	dst = dst[:len(src)]
+	i := 0
+	if useF16C {
+		i = encodeVector(dst, src)
+	}
+	for ; i < len(src); i++ {
+		dst[i] = FromFloat64(src[i])
 	}
 }
 
@@ -156,8 +176,13 @@ func EncodeSlice(dst []F16, src []float64) {
 // conversion is exact, so Encode/Decode round-trips lose precision only at
 // the encode.
 func DecodeSlice(dst []float64, src []F16) {
-	for i, h := range src {
-		dst[i] = h.Float64()
+	dst = dst[:len(src)]
+	i := 0
+	if useF16C {
+		i = decodeVector(dst, src)
+	}
+	for ; i < len(src); i++ {
+		dst[i] = src[i].Float64()
 	}
 }
 

@@ -9,6 +9,14 @@
 // deterministic and independent of how requests were micro-batched
 // together.
 //
+// Each op that computes in float64 decodes its fp16 input with one
+// f16.DecodeSlice call into a preallocated buffer and encodes its output
+// with one f16.EncodeSlice call (the linear op's encode rides in
+// tensor.MatMulPackedF16's epilogue, one call per row of each column
+// block); the standalone ReLU works on the halves directly. The two calls
+// run F16C instructions on amd64 CPUs that have them (CPUID, checked once
+// at startup) and a scalar loop elsewhere, with identical bits.
+//
 // Every buffer is preallocated for the compile-time maximum batch, so on
 // one kernel thread a warm Predictor performs zero steady-state heap
 // allocations (pinned by TestPredictorAllocFree at one thread). At two
@@ -330,17 +338,17 @@ func (o *groupNormOp) forward(n int, in []f16.F16) []f16.F16 {
 				ch := gi*cpg + ci
 				g, be := o.gamma[ch], o.beta[ch]
 				row := gx[ci*o.hw : (ci+1)*o.hw]
-				dst := o.out[ni*per+ch*o.hw : ni*per+(ch+1)*o.hw]
 				for j, v := range row {
 					y := g*(v-mean)*inv + be
 					if o.relu && y <= 0 {
 						y = 0
 					}
-					dst[j] = f16.FromFloat64(y)
+					row[j] = y
 				}
 			}
 		}
 	}
+	f16.EncodeSlice(o.out[:len(x)], x)
 	return o.out
 }
 
@@ -350,6 +358,7 @@ type batchNormOp struct {
 	c, hw        int
 	scale, shift []float64
 	relu         bool
+	x            []float64
 	out          []f16.F16
 }
 
@@ -363,6 +372,7 @@ func newBatchNormOp(l *BatchNorm2D, shape []int, maxBatch int, relu bool) (*batc
 		scale: make([]float64, l.C),
 		shift: make([]float64, l.C),
 		relu:  relu,
+		x:     make([]float64, maxBatch*l.C*hw),
 		out:   make([]f16.F16, maxBatch*l.C*hw),
 	}
 	for ci := 0; ci < l.C; ci++ {
@@ -377,20 +387,22 @@ func (o *batchNormOp) outPer() int { return o.c * o.hw }
 
 func (o *batchNormOp) forward(n int, in []f16.F16) []f16.F16 {
 	per := o.c * o.hw
+	x := o.x[:n*per]
+	f16.DecodeSlice(x, in[:len(x)])
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < o.c; ci++ {
 			a, b := o.scale[ci], o.shift[ci]
-			src := in[ni*per+ci*o.hw : ni*per+(ci+1)*o.hw]
-			dst := o.out[ni*per+ci*o.hw : ni*per+(ci+1)*o.hw]
-			for j, h := range src {
-				y := a*h.Float64() + b
+			row := x[ni*per+ci*o.hw : ni*per+(ci+1)*o.hw]
+			for j, v := range row {
+				y := a*v + b
 				if o.relu && y <= 0 {
 					y = 0
 				}
-				dst[j] = f16.FromFloat64(y)
+				row[j] = y
 			}
 		}
 	}
+	f16.EncodeSlice(o.out[:len(x)], x)
 	return o.out
 }
 
@@ -424,8 +436,9 @@ func (o *reluOp) forward(n int, in []f16.F16) []f16.F16 {
 // --- global average pool -----------------------------------------------------
 
 type gapOp struct {
-	c, hw int
-	out   []f16.F16
+	c, hw   int
+	x, mean []float64
+	out     []f16.F16
 }
 
 func newGapOp(shape []int, maxBatch int) (*gapOp, []int, error) {
@@ -433,21 +446,27 @@ func newGapOp(shape []int, maxBatch int) (*gapOp, []int, error) {
 		return nil, nil, fmt.Errorf("nn: global avg pool over per-sample shape %v", shape)
 	}
 	c, hw := shape[0], shape[1]*shape[2]
-	return &gapOp{c: c, hw: hw, out: make([]f16.F16, maxBatch*c)}, []int{c}, nil
+	return &gapOp{
+		c: c, hw: hw,
+		x:    make([]float64, maxBatch*c*hw),
+		mean: make([]float64, maxBatch*c),
+		out:  make([]f16.F16, maxBatch*c),
+	}, []int{c}, nil
 }
 
 func (o *gapOp) outPer() int { return o.c }
 
 func (o *gapOp) forward(n int, in []f16.F16) []f16.F16 {
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < o.c; ci++ {
-			src := in[(ni*o.c+ci)*o.hw : (ni*o.c+ci+1)*o.hw]
-			var sum float64
-			for _, h := range src {
-				sum += h.Float64()
-			}
-			o.out[ni*o.c+ci] = f16.FromFloat64(sum / float64(o.hw))
+	x := o.x[:n*o.c*o.hw]
+	f16.DecodeSlice(x, in[:len(x)])
+	mean := o.mean[:n*o.c]
+	for i := range mean {
+		var sum float64
+		for _, v := range x[i*o.hw : (i+1)*o.hw] {
+			sum += v
 		}
+		mean[i] = sum / float64(o.hw)
 	}
+	f16.EncodeSlice(o.out[:len(mean)], mean)
 	return o.out
 }

@@ -32,9 +32,10 @@ func maxAbs(t *tensor.Tensor) float64 {
 // TestPredictorMatchesReference: the compiled fp16 inference path must stay
 // within fp16-storage tolerance of the full-precision eval forward, for
 // every compilable architecture: GN (fused ReLU after norm), BN (folded
-// into the conv), no norm (ReLU fused into the conv epilogue), and the
-// FC stack (packed fp16 weights). BN models are trained a few steps first
-// so the running statistics being folded are non-trivial.
+// into the conv), BN after a ReLU (a standalone norm op, with and without
+// a fused ReLU), no norm (ReLU fused into the conv epilogue), and the FC
+// stack (packed fp16 weights). BN models are trained a few steps first so
+// the running statistics being used are non-trivial.
 func TestPredictorMatchesReference(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -44,6 +45,14 @@ func TestPredictorMatchesReference(t *testing.T) {
 	}{
 		{"smallcnn-gn", func(rng *rand.Rand) *Model { return BuildSmallCNN(rng, 3, 16, 8, NormGroup, 8) }, []int{3, 16, 16}, false},
 		{"smallcnn-bn", func(rng *rand.Rand) *Model { return BuildSmallCNN(rng, 3, 16, 8, NormBatch, 0) }, []int{3, 16, 16}, true},
+		{"standalone-bn", func(rng *rand.Rand) *Model {
+			return &Model{Net: &Sequential{Layers: []Layer{
+				NewConv2D("conv1", rng, 3, 8, 3, 1, 1), &ReLU{},
+				NewBatchNorm2D("bn1", 8), &ReLU{},
+				NewBatchNorm2D("bn2", 8),
+				&GlobalAvgPool{}, NewLinear("fc", rng, 8, 8),
+			}}}
+		}, []int{3, 16, 16}, true},
 		{"smallcnn-nonorm", func(rng *rand.Rand) *Model { return BuildSmallCNN(rng, 3, 16, 8, NormNone, 0) }, []int{3, 16, 16}, false},
 		{"mlp", func(rng *rand.Rand) *Model { return BuildMLP(rng, 96, []int{64, 48}, 10) }, []int{96}, false},
 	}
