@@ -109,7 +109,10 @@ type RunRequest struct {
 
 // InferRequest is the POST /v2/infer body: one or more flattened input
 // samples for the served model. Each input is batched independently, so
-// concurrent clients' samples coalesce into shared forward passes.
+// concurrent clients' samples coalesce into shared forward passes. Clients
+// encode it with json.Marshal; the service decodes it with
+// ParseInferRequest, which takes exactly {"inputs":[[n,…],…]} and refuses
+// unknown, duplicate or case-folded members, nulls and trailing data.
 type InferRequest struct {
 	Inputs [][]float64 `json:"inputs"`
 }

@@ -338,12 +338,19 @@ func (o *groupNormOp) forward(n int, in []f16.F16) []f16.F16 {
 				ch := gi*cpg + ci
 				g, be := o.gamma[ch], o.beta[ch]
 				row := gx[ci*o.hw : (ci+1)*o.hw]
+				if !o.relu {
+					for j, v := range row {
+						row[j] = g*(v-mean)*inv + be
+					}
+					continue
+				}
+				// max, not a branch: the sign of a normalized value is a
+				// coin flip that no branch predictor learns. Like the
+				// branch, max gives +0 for -0 and every negative; a NaN
+				// stays NaN, though its sign bit may change.
 				for j, v := range row {
 					y := g*(v-mean)*inv + be
-					if o.relu && y <= 0 {
-						y = 0
-					}
-					row[j] = y
+					row[j] = max(y, 0)
 				}
 			}
 		}
@@ -393,12 +400,15 @@ func (o *batchNormOp) forward(n int, in []f16.F16) []f16.F16 {
 		for ci := 0; ci < o.c; ci++ {
 			a, b := o.scale[ci], o.shift[ci]
 			row := x[ni*per+ci*o.hw : ni*per+(ci+1)*o.hw]
-			for j, v := range row {
-				y := a*v + b
-				if o.relu && y <= 0 {
-					y = 0
+			if !o.relu {
+				for j, v := range row {
+					row[j] = a*v + b
 				}
-				row[j] = y
+				continue
+			}
+			for j, v := range row { // branch-free, as in groupNormOp
+				y := a*v + b
+				row[j] = max(y, 0)
 			}
 		}
 	}

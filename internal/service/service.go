@@ -519,14 +519,29 @@ func (s *Server) fail(w http.ResponseWriter, e *api.Error) {
 // cross-request coalescing is the batcher's job, not the request body's.
 const maxInferInputs = 64
 
-// handleInfer serves POST /v2/infer: each input sample is submitted to the
-// micro-batcher independently (concurrently for multi-input requests), so
-// samples from this and other in-flight requests coalesce into shared
-// forward passes on the fused GEMM fast path.
+// maxInferBody caps a POST /v2/infer body's bytes.
+const maxInferBody = 8 << 20
+
+// handleInfer serves POST /v2/infer. It reads the body once, into a buffer
+// sized from Content-Length, and decodes it with api.ParseInferRequest. A
+// body over maxInferBody bytes, outside that strict grammar (the error
+// names the byte offset) or over maxInferInputs samples is a 400
+// bad_request. Each input sample is then submitted to the micro-batcher
+// independently (concurrently for multi-input requests), so samples from
+// this and other in-flight requests coalesce into shared forward passes on
+// the fused GEMM fast path.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxInferBody {
+		body.Grow(int(n) + bytes.MinRead) // ReadFrom then meets EOF without regrowing
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxInferBody))
 	var req api.InferRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
+	if err == nil {
+		req, err = api.ParseInferRequest(body.Bytes(), maxInferInputs, s.batcher.Model().InSize())
+	}
+	if err != nil {
 		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "",
 			"bad request body: %s", err))
 		return
@@ -534,11 +549,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if len(req.Inputs) == 0 {
 		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "",
 			"inputs is empty; send at least one sample"))
-		return
-	}
-	if len(req.Inputs) > maxInferInputs {
-		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "",
-			"%d inputs exceed the per-request cap of %d", len(req.Inputs), maxInferInputs))
 		return
 	}
 	resp := api.InferResponse{

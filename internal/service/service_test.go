@@ -673,17 +673,40 @@ func TestInferEndpoint(t *testing.T) {
 }
 
 // TestInferErrors: malformed bodies 400, wrong-sized inputs 422, and the
-// structured error body everywhere.
+// structured error body everywhere. A body is malformed when it leaves the
+// strict {"inputs":[[n,…],…]} grammar, even where encoding/json would have
+// decoded it (a case-folded key, trailing data).
 func TestInferErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
+	type errCase struct {
 		name, body string
 		status     int
-		code       string
-	}{
-		{"malformed", `{"inputs":`, http.StatusBadRequest, api.CodeBadRequest},
-		{"empty", `{"inputs":[]}`, http.StatusBadRequest, api.CodeBadRequest},
-		{"wrong size", `{"inputs":[[1,2,3]]}`, http.StatusUnprocessableEntity, api.CodeInvalidParams},
+		code, msg  string // msg: a substring of the error message
+	}
+	bad := func(name, body string) errCase {
+		return errCase{name, body, http.StatusBadRequest, api.CodeBadRequest, "bad request body: byte "}
+	}
+	cases := []errCase{
+		bad("malformed", `{"inputs":`),
+		{"empty", `{"inputs":[]}`, http.StatusBadRequest, api.CodeBadRequest, "inputs is empty"},
+		{"wrong size", `{"inputs":[[1,2,3]]}`, http.StatusUnprocessableEntity, api.CodeInvalidParams, "wants 768"},
+		bad("leading zero", `{"inputs":[[01]]}`),
+		bad("bare fraction", `{"inputs":[[.5]]}`),
+		bad("bare point", `{"inputs":[[1.]]}`),
+		bad("plus sign", `{"inputs":[[+1]]}`),
+		bad("lone minus", `{"inputs":[[-]]}`),
+		bad("empty exponent", `{"inputs":[[1e]]}`),
+		bad("NaN", `{"inputs":[[NaN]]}`),
+		bad("Infinity", `{"inputs":[[Infinity]]}`),
+		bad("out of range", `{"inputs":[[1e400]]}`),
+		bad("string value", `{"inputs":[["1"]]}`),
+		bad("trailing comma", `{"inputs":[[1,]]}`),
+		bad("extra bracket", `{"inputs":[[1]]]}`),
+		bad("trailing data", `{"inputs":[[1]]}{"inputs":[[2]]}`),
+		bad("unknown member", `{"inputs":[[1]],"model":"mlp"}`),
+		bad("case-folded key", `{"Inputs":[[1]]}`),
+		bad("null inputs", `{"inputs": null}`),
+		bad("65 rows", `{"inputs":[`+strings.Repeat(`[1],`, 64)+`[1]]}`),
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -698,7 +721,7 @@ func TestInferErrors(t *testing.T) {
 			if err := json.Unmarshal(body, &e); err != nil {
 				t.Fatalf("error body not structured: %s", body)
 			}
-			if e.Code != tc.code || e.Error == "" {
+			if e.Code != tc.code || !strings.Contains(e.Error, tc.msg) {
 				t.Errorf("error body: %s", body)
 			}
 		})
